@@ -10,8 +10,11 @@ process (worker.py), which imports the package from ``src/``.  With
 median over several fresh processes, from spawn to the worker's READY line.
 With ``--trace 1`` the run spends half its time untraced and half traced,
 and reports the per-layer metrics, the tracing overhead and the fraction of
-failed jobs.  Every job output is checked against checks.py either way.  The
-last line of stdout is one JSON object: correct, attempted, failed, metrics.
+failed jobs.  Every job output is checked against checks.py either way.
+After the timed part, each run makes the one call known to fail (a deep
+``count contingency``) once, outside the timed jobs, and reports whether it
+still fails.  The last line of stdout is one JSON object: correct, attempted,
+failed, metrics.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import workloads
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-SETUPS = 5
+SETUPS = 9
 PROBE_TIMEOUT = 60
 CLI_PROBES = 5
+DEEP_CALL = f"count contingency with {workloads.DEEP_ROWS} unit rows"
 
 
 def _env():
@@ -85,6 +89,19 @@ def _probe_seconds(argv):
                        stdout=subprocess.DEVNULL, timeout=PROBE_TIMEOUT)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def _known_defect_failed():
+    """Run the known-defect probe once; True while it still fails its check."""
+    probe = workloads.known_defect_probe()
+    proc = subprocess.run([sys.executable, "-m", "pseudomagic", *probe["args"]["argv"]],
+                          env=_env(), cwd=ROOT, capture_output=True, text=True, timeout=PROBE_TIMEOUT)
+    ok, _ = checks.check(probe, {"rc": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr})
+    if not ok:
+        tail = proc.stderr.strip().splitlines()[-1:] or [""]
+        print(f"known defect still present: {DEEP_CALL} exits {proc.returncode}: {tail[0][:200]}",
+              file=sys.stderr)
+    return not ok
 
 
 def _git_commit():
@@ -204,12 +221,15 @@ def main():
     every = [j for js in judged for j in js]
     attempted = len(every)
     failed = sum(1 for _, _, ok, _ in every if not ok)
-    correct = attempted > 0 and all(ok or job["args"].get("known_defect") for job, _, ok, _ in every)
+    correct = attempted > 0 and failed == 0
     for job, rec, ok, _ in every:
         if not ok:
             detail = rec["error"] or json.dumps(rec["out"])[:300]
             print(f"failed job {job['id']} {job['kind']} {json.dumps(job['args'])[:300]}: {detail}",
                   file=sys.stderr)
+
+    defect = _known_defect_failed()
+    facts["known_defect_failed"] = defect
 
     latencies = [rec["t"] for rec in run["jobs"]]
     if args.trace == 0:
@@ -232,6 +252,7 @@ def main():
         metrics["cli.numeric_cmd_p50_s"] = (_cli_p50(traced, "numeric"), "s")
         metrics["cli.exit_mismatch"] = (sum(1 for job, rec, _, _ in traced if job["kind"] == "cli"
                                             and (rec["out"] or {}).get("rc") != job["args"]["rc"]), "count")
+        metrics["cli.known_defect_failed"] = (int(defect), "count")
         base_rate = len(base["jobs"]) / base["wall_s"]
         metrics["trace.overhead_frac"] = (1 - len(latencies) / run["wall_s"] / base_rate, "1")
         metrics["fail_frac"] = (failed / attempted, "1")

@@ -50,11 +50,16 @@ def test_one_round_prints_every_metric(workload, trace):
         assert isinstance(printed["value"], (int, float)), m["name"]
 
 
-def test_only_the_known_defect_may_fail():
-    result = json.loads(_run(ROOT, "cli-short", 0).stdout.strip().splitlines()[-1])
-    # a round holds one deep contingency call, the only job allowed to fail
-    assert result["failed"] <= 1
-    assert result["metrics"]["ok_frac"]["value"] == 1 - result["failed"] / result["attempted"]
+def test_no_timed_job_fails_and_the_known_defect_is_reported():
+    proc = _run(ROOT, "cli-short", 1)
+    *_, facts, last = proc.stdout.strip().splitlines()
+    result = json.loads(last)
+    assert result["failed"] == 0
+    # the deep contingency call runs once, outside the timed jobs, and still
+    # fails until the counting kernel is made iterative
+    defect = json.loads(facts)["machine"]["known_defect_failed"]
+    assert result["metrics"]["cli.known_defect_failed"]["value"] == int(defect)
+    assert defect == ("known defect still present" in proc.stderr)
 
 
 def test_every_per_layer_metric_has_a_prediction():

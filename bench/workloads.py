@@ -155,8 +155,8 @@ def _haar_round(rng, r, ph):
 #### cli-short ####
 
 
-def _cli(argv, category, rc=0, known_defect=False):
-    return {"argv": [str(a) for a in argv], "category": category, "rc": rc, "known_defect": known_defect}
+def _cli(argv, category, rc=0):
+    return {"argv": [str(a) for a in argv], "category": category, "rc": rc}
 
 
 def _join(parts):
@@ -184,10 +184,20 @@ def _cli_round(rng, r, ph):
               "--t-max", 100.0, "--steps", 2000], "numeric"),
         _cli(["count", "magic", "--k", 0, "--j", rng.randint(1, 5)], "refusal", rc=2),
         _cli(["zeta", "pairs", "--k", 3, "--x", rng.randint(20, 40)], "refusal", rc=3),
-        _cli(["count", "contingency", "--rows", _join([1] * DEEP_ROWS), "--cols", DEEP_ROWS],
-             "exact", known_defect=True),
     ]
     return [("cli", j) for j in jobs]
+
+
+def known_defect_probe() -> dict:
+    """The deep contingency call, run once per cli-short run outside the timed loop.
+
+    It fails on every run until the counting kernel is made iterative.  It is
+    reported by name (cli.known_defect_failed) rather than among the timed
+    jobs, whose failed count would otherwise depend on how many rounds a run
+    fits in.
+    """
+    args = _cli(["count", "contingency", "--rows", _join([1] * DEEP_ROWS), "--cols", DEEP_ROWS], "exact")
+    return {"id": -1, "round": -1, "kind": "cli", "args": args}
 
 
 def _library_round(rng, r, ph):
