@@ -6,12 +6,12 @@ column sums at most l, including per-line bound vectors), and symmetric
 variants with even diagonal entries.  Everything returns arbitrary-precision
 integers; there is no fixed-width fast path.
 
-The workhorse is a column-by-column dynamic program.  Its state is the
-multiset of remaining row capacities: once the processed columns are fixed,
-rows with equal remaining capacity are interchangeable, so sorting the
-capacity vector is a sound canonicalization that collapses the state space.
-At-most constraints are handled directly (each column sum ranges over
-0..bound) rather than through slack variables.
+One non-recursive allocation step spreads a line sum over rows and tallies
+the sorted multiset of leftover capacities, a sound state because rows with
+equal leftover are interchangeable.  Two forward layered DPs drive it:
+column by column for contingency tables, where at-most bounds become exact
+through a slack row and column of margin sum(bounds), and row by row for
+symmetric even-diagonal matrices, where the diagonal absorbs any shortfall.
 
 ``brute_force_count`` enumerates matrices entry by entry with running-sum
 pruning and no memoization; it is the independent oracle the test suite
@@ -166,95 +166,72 @@ def symmetric_even_bounded_spec(k: int, l: int) -> MatrixCountSpec:
 #### dynamic-programming kernels ####
 
 
-def _count_exact(row_sums, col_sums) -> int:
-    """Matrices with exact row sums ``row_sums`` and exact column sums ``col_sums``."""
-    rows = tuple(sorted((r for r in row_sums if r), reverse=True))
-    cols = tuple(sorted((c for c in col_sums if c), reverse=True))
+def _place(caps, t, weight, out):
+    """Add ``weight`` to ``out[left]`` for each way to put ``t`` units into rows of capacity ``caps``.
+
+    Needs ``t <= sum(caps)``; ``left`` is the sorted multiset of nonzero
+    leftover capacities.  An odometer over ``take`` fills rows greedily from
+    the left, then moves one unit from the rightmost row that can still pass
+    a unit to the rows after it, so the depth is an index, not a stack frame.
+    """
+    m = len(caps)
+    suffix = [0] * (m + 1)  # suffix[i]: total capacity of rows i..m-1
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + caps[i]
+    take = [0] * m
+    i, rem = 0, t  # rem: units still to place in rows i..m-1, never above suffix[i]
+    while True:
+        while i < m:
+            take[i] = caps[i] if caps[i] < rem else rem
+            rem -= take[i]
+            i += 1
+        left = tuple(sorted([c - x for c, x in zip(caps, take) if c != x], reverse=True))
+        out[left] = out.get(left, 0) + weight
+        i -= 1
+        while i >= 0 and (take[i] == 0 or rem == suffix[i + 1]):
+            rem += take[i]
+            i -= 1
+        if i < 0:
+            return
+        take[i] -= 1
+        rem += 1
+        i += 1
+
+
+def _count_tables(rows, cols) -> int:
+    """Contingency tables by a forward DP, column by column, over sorted leftover row capacities."""
+    rows, cols = Partition(rows).parts, Partition(cols).parts
     if sum(rows) != sum(cols):
         return 0
-    if not cols:
-        return 1
-    ncols = len(cols)
-    memo = {}
-
-    def rec(ci, caps):
-        if ci == ncols:
-            return 1
-        key = (ci, caps)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        target = cols[ci]
-        m = len(caps)
-        suffix = [0] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + caps[i]
-        if target > suffix[0]:
-            memo[key] = 0
-            return 0
-        total = 0
-        left = [0] * m  # leftover capacity per row for the current allocation
-
-        def alloc(i, rem):
-            nonlocal total
-            if i == m - 1:
-                if rem <= caps[i]:
-                    left[i] = caps[i] - rem
-                    total += rec(ci + 1, tuple(sorted((c for c in left if c), reverse=True)))
-                return
-            lo = rem - suffix[i + 1]
-            if lo < 0:
-                lo = 0
-            for c in range(min(caps[i], rem), lo - 1, -1):
-                left[i] = caps[i] - c
-                alloc(i + 1, rem - c)
-
-        alloc(0, target)
-        memo[key] = total
-        return total
-
-    return rec(0, rows)
+    layer = {rows: 1}
+    for c in cols:
+        nxt = {}
+        for caps, w in layer.items():
+            _place(caps, c, w, nxt)
+        layer = nxt
+    return layer.get((), 0)
 
 
-def _count_atmost(bounds) -> int:
-    """Square matrices with row i sum <= bounds[i] and column j sum <= bounds[j]."""
-    # the count depends only on the multiset of bounds (relabeling rows and
-    # columns by the same permutation is a bijection), so sort once
-    live = tuple(sorted((b for b in bounds if b), reverse=True))
-    if not live:
-        return 1
-    k = len(live)
-    memo = {}
+def _count_symmetric(margins, diagonal_ways) -> int:
+    """Symmetric matrices with line sums ``margins``, by a forward DP row by row.
 
-    def rec(ci, caps):
-        if ci == k:
-            return 1
-        key = (ci, caps)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        m = len(caps)
-        total = 0
-        left = [0] * m
-
-        def alloc(i, budget):
-            nonlocal total
-            if i == m - 1:
-                top = caps[i] if caps[i] < budget else budget
-                for c in range(top + 1):
-                    left[i] = caps[i] - c
-                    total += rec(ci + 1, tuple(sorted((x for x in left if x), reverse=True)))
-                return
-            top = caps[i] if caps[i] < budget else budget
-            for c in range(top + 1):
-                left[i] = caps[i] - c
-                alloc(i + 1, budget - c)
-
-        alloc(0, live[ci])
-        memo[key] = total
-        return total
-
-    return rec(0, live)
+    The state is the sorted multiset of the margins left on the rows not yet
+    processed.  A row with margin ``r`` puts ``s`` units into the later rows,
+    which fixes the mirrored column entries too, and ``diagonal_ways(r - s)``
+    counts the diagonal entries that the remainder admits.
+    """
+    layer, done = {Partition(margins).parts: 1}, 0
+    while layer:
+        done += layer.pop((), 0)
+        nxt = {}
+        for caps, w in layer.items():
+            r, rest = caps[0], caps[1:]
+            for s in range(min(r, sum(rest)) + 1):
+                ways = diagonal_ways(r - s)
+                if ways:
+                    _place(rest, s, w * ways, nxt)
+        layer = nxt
+    return done
 
 
 #### counting operations ####
@@ -266,8 +243,7 @@ def count_contingency(rows, cols) -> int:
     Returns 0 when the weights differ.  Zero parts are dropped; the count is
     invariant under reordering of either prescription.
     """
-    mu, nu = Partition(rows), Partition(cols)
-    return _count_exact(mu.parts, nu.parts)
+    return _count_tables(rows, cols)
 
 
 def count_magic(k: int, j: int) -> int:
@@ -276,26 +252,36 @@ def count_magic(k: int, j: int) -> int:
         raise ValueError("k must be positive")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    return _count_exact((j,) * k, (j,) * k)
+    return _count_tables((j,) * k, (j,) * k)
 
 
 def count_pseudomagic(k: int, l: int) -> int:
-    """Number of k-by-k nonnegative integer matrices with every line sum at most l."""
+    """Number of k-by-k nonnegative integer matrices with every line sum at most l.
+
+    Counted through slack lines as in ``count_pseudomagic_multi``.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if l < 0:
         raise ValueError("l must be nonnegative")
-    return _count_atmost((l,) * k)
+    margins = (l,) * k + (k * l,)
+    return _count_tables(margins, margins)
 
 
 def count_pseudomagic_multi(bounds) -> int:
-    """Line-sum bounds per index: row i and column i both sum to at most bounds[i]."""
+    """Line-sum bounds per index: row i and column i both sum to at most bounds[i].
+
+    Counted as contingency tables through slack lines: a slack column takes
+    each row's shortfall b_i - r_i, a slack row each column's, and the corner
+    takes the total, so the margins on both sides are ``bounds + (sum bounds,)``.
+    """
     bounds = tuple(int(b) for b in bounds)
     if not bounds:
         raise ValueError("need at least one bound")
     if any(b < 0 for b in bounds):
         raise ValueError("bounds must be nonnegative")
-    return _count_atmost(bounds)
+    margins = bounds + (sum(bounds),)
+    return _count_tables(margins, margins)
 
 
 def count_symmetric_even(k: int, j: int) -> int:
@@ -308,35 +294,7 @@ def count_symmetric_even(k: int, j: int) -> int:
         raise ValueError("k must be positive")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    load = [0] * k
-
-    def row(i):
-        r = j - load[i]
-        if r < 0:
-            return 0
-        if i == k - 1:
-            return 1 if r % 2 == 0 else 0
-        total = 0
-
-        def off(t, s):
-            # s = row-i allowance left for entries (i,t..k-1) plus the diagonal
-            nonlocal total
-            if t == k:
-                if s % 2 == 0:  # diagonal entry is forced to s
-                    total += row(i + 1)
-                return
-            cap = j - load[t]
-            if s < cap:
-                cap = s
-            for v in range(cap + 1):
-                load[t] += v
-                off(t + 1, s - v)
-                load[t] -= v
-
-        off(i + 1, r)
-        return total
-
-    return row(0)
+    return _count_symmetric((j,) * k, lambda d: 1 - d % 2)  # diagonal forced to d
 
 
 def count_symmetric_even_bounded(k: int, l: int) -> int:
@@ -345,33 +303,7 @@ def count_symmetric_even_bounded(k: int, l: int) -> int:
         raise ValueError("k must be positive")
     if l < 0:
         raise ValueError("l must be nonnegative")
-    load = [0] * k
-
-    def row(i):
-        r = l - load[i]
-        if r < 0:
-            return 0
-        if i == k - 1:
-            return r // 2 + 1
-        total = 0
-
-        def off(t, s):
-            nonlocal total
-            if t == k:
-                total += (s // 2 + 1) * row(i + 1)  # any even diagonal <= s
-                return
-            cap = l - load[t]
-            if s < cap:
-                cap = s
-            for v in range(cap + 1):
-                load[t] += v
-                off(t + 1, s - v)
-                load[t] -= v
-
-        off(i + 1, r)
-        return total
-
-    return row(0)
+    return _count_symmetric((l,) * k, lambda d: d // 2 + 1)  # any even diagonal <= d
 
 
 #### brute-force oracle ####

@@ -53,43 +53,6 @@ class TruncatedMultiSeries:
                 key = tuple(cur)
         return TruncatedMultiSeries(self.num_vars, cap, out)
 
-    def multiply(self, other: "TruncatedMultiSeries") -> "TruncatedMultiSeries":
-        if self.num_vars != other.num_vars or self.cap != other.cap:
-            raise ValueError("series shapes differ")
-        cap = self.cap
-        out = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ia, ib))
-                if any(e > cap for e in key):
-                    continue
-                out[key] = out.get(key, 0) + ca * cb
-        return TruncatedMultiSeries(self.num_vars, cap, {k: v for k, v in out.items() if v})
-
-    def reciprocal(self) -> "TruncatedMultiSeries":
-        """Multiplicative inverse of a series with constant term 1, truncated.
-
-        Uses 1/S = sum_m (1 - S)^m, which terminates because 1 - S has no
-        constant term: powers past the total degree cap vanish.
-        """
-        zero = (0,) * self.num_vars
-        if self.terms.get(zero, 0) != 1:
-            raise ValueError("reciprocal requires constant term 1")
-        delta = TruncatedMultiSeries(
-            self.num_vars, self.cap,
-            {k: -v for k, v in self.terms.items() if k != zero},
-        )
-        result = TruncatedMultiSeries.one(self.num_vars, self.cap)
-        power = TruncatedMultiSeries.one(self.num_vars, self.cap)
-        for _ in range(self.num_vars * self.cap):
-            power = power.multiply(delta)
-            if not power.terms:
-                break
-            for k, v in power.terms.items():
-                result.terms[k] = result.terms.get(k, 0) + v
-        result.terms = {k: v for k, v in result.terms.items() if v}
-        return result
-
 
 def _check_budget(num_vars: int, cap: int, term_budget: int):
     if (cap + 1) ** num_vars > term_budget:

@@ -157,8 +157,9 @@ def numeric_moment(k: int, x: int, t_max: float, steps: int, threads: int = 1):
     """Trapezoid approximation of the time average on [0, t_max].
 
     Returns (value, error_estimate); the estimate is the difference against
-    the half-step-count trapezoid, a crude consistency gauge rather than a
-    bound.  Warns when the grid cannot resolve the fastest oscillation
+    the trapezoid on every second node (plus the endpoint when ``steps`` is
+    odd, so both rules span [0, t_max]), a crude consistency gauge rather
+    than a bound.  Warns when the grid cannot resolve the fastest oscillation
     (period 2*pi/log(x)) with 20 points.
     """
     if k < 1 or x < 1:
@@ -179,7 +180,9 @@ def numeric_moment(k: int, x: int, t_max: float, steps: int, threads: int = 1):
     f = _partial_sum_power(k, x, t, threads)
     full = float(np.trapezoid(f, t) / t_max)
     t2, f2 = t[::2], f[::2]
-    half = float(np.trapezoid(f2, t2) / t2[-1])
+    if steps % 2:  # keep the endpoint so the coarse rule covers [0, t_max] too
+        t2, f2 = np.append(t2, t[-1]), np.append(f2, f[-1])
+    half = float(np.trapezoid(f2, t2) / t_max)
     return full, abs(full - half)
 
 

@@ -8,6 +8,8 @@ import pytest
 
 from pseudomagic.cli import main
 
+UNIT_ROWS = ",".join(["1"] * 1200)
+
 
 def run_cli(args, capsys):
     rc = main(args)
@@ -61,6 +63,13 @@ class TestBroadCoverage:
     def test_plain_scalars(self, capsys, args, expected):
         rc, out, _ = run_cli(args, capsys)
         assert rc == 0 and out == expected
+
+    @pytest.mark.parametrize(
+        "rows,cols", [(UNIT_ROWS, "1200"), ("1200", UNIT_ROWS)], ids=["unit-rows", "unit-cols"]
+    )
+    def test_deep_contingency(self, capsys, rows, cols):
+        rc, out, _ = run_cli(["count", "contingency", "--rows", rows, "--cols", cols], capsys)
+        assert rc == 0 and out == "1\n"
 
     def test_poly_plain(self, capsys):
         rc, out, _ = run_cli(["ehrhart", "poly", "--family", "magic", "--k", "3"], capsys)

@@ -115,6 +115,11 @@ class TestContingency:
         assert count_contingency((5,), (3, 2)) == 1
         assert count_contingency((3, 2), (5,)) == 1
 
+    def test_deep_unit_rows(self):
+        # one kernel step per column and none per row: 1200 rows need no deep stack
+        assert count_contingency([1] * 1200, [1200]) == 1
+        assert count_contingency([1200], [1] * 1200) == 1
+
 
 class TestMagic:
     @pytest.mark.parametrize("k", range(1, 6))
@@ -203,6 +208,18 @@ class TestSymmetricEven:
 
     def test_f1_floor_law(self):
         assert [count_symmetric_even_bounded(1, l) for l in range(8)] == [1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_s6_frozen(self):
+        # from an unmemoized row-by-row enumeration (about 5 s), not the DP
+        assert count_symmetric_even(6, 6) == 1594340
+
+    @pytest.mark.parametrize("k,l", list(product(range(1, 5), range(6))))
+    def test_bounded_matches_slack_route(self, k, l):
+        # a slack line of margin k*l takes each shortfall l - r_i; its corner
+        # is the total weight, which is even, so the exact rule (diagonal
+        # forced to what the row leaves, and even) counts the same
+        slack = counting._count_symmetric((l,) * k + (k * l,), lambda d: 1 - d % 2)
+        assert count_symmetric_even_bounded(k, l) == slack
 
     def test_bounded_dominates_exact(self):
         for k, l in product((2, 3), range(4)):

@@ -1,7 +1,5 @@
 """Generating-function route: truncated series arithmetic and the coefficient oracles."""
 
-from itertools import product
-
 import pytest
 
 from pseudomagic.counting import count_contingency, count_pseudomagic
@@ -10,7 +8,6 @@ from pseudomagic.genfun import (
     TruncatedMultiSeries,
     contour_coefficient,
     expansion_count,
-    master_series,
 )
 
 
@@ -30,26 +27,6 @@ class TestSeriesArithmetic:
         s = TruncatedMultiSeries.one(2, 4).times_geometric((0, 1))
         assert s.coefficient((3, 3)) == 1
         assert s.coefficient((2, 3)) == 0
-
-    def test_product_of_two_geometrics(self):
-        # 1/(1-z)^2: coefficient of z^i is i+1
-        g = TruncatedMultiSeries.one(1, 6).times_geometric((0,))
-        s = g.multiply(g)
-        assert [s.coefficient((i,)) for i in range(7)] == list(range(1, 8))
-
-    def test_reciprocal_inverts(self):
-        s = master_series(2, 3)
-        inv = s.reciprocal()
-        back = s.multiply(inv)
-        assert back.coefficient((0, 0, 0, 0)) == 1
-        for idx in product(range(4), repeat=4):
-            if any(idx):
-                assert back.coefficient(idx) == 0
-
-    def test_reciprocal_requires_unit_constant(self):
-        s = TruncatedMultiSeries(1, 2, {(1,): 1})
-        with pytest.raises(ValueError):
-            s.reciprocal()
 
 
 class TestContourOracle:

@@ -118,6 +118,11 @@ class TestNumericMoment:
         v2, _ = numeric_moment(1, 6, 500.0, 20000, threads=3)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
 
+    def test_odd_steps_error_estimate_spans_the_window(self):
+        _, even = numeric_moment(1, 2, 100.0, 2000)
+        _, odd = numeric_moment(1, 2, 100.0, 2001)
+        assert odd <= 10 * even
+
     def test_warns_on_coarse_grid(self):
         with pytest.warns(UserWarning):
             numeric_moment(1, 10, 1000.0, 100)
