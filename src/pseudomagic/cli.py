@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import counting, ehrhart, euler, genfun, rmt, zeta
-from .errors import BudgetError
+from .errors import MAX_THREADS, BudgetError
 
 _FAMILY_BUILDERS = {
     "contingency": ("rows cols", lambda a: counting.contingency_spec(a.rows, a.cols)),
@@ -342,7 +342,7 @@ def _add_globals(p: argparse.ArgumentParser, leaf: bool):
                    help="also write the JSON document to a file")
     p.add_argument("--seed", type=int, default=d if leaf else 0, help="RNG seed")
     p.add_argument("--threads", type=int, default=d if leaf else 1,
-                   help="worker threads for Monte Carlo and quadrature")
+                   help=f"worker threads for Monte Carlo and quadrature (1..{MAX_THREADS})")
     p.add_argument("--budget", type=int, default=d if leaf else None,
                    help="override the resource budget (tuples, terms, grid cells)")
 

@@ -313,9 +313,10 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
     """Count matrices satisfying ``spec`` by entry-by-entry enumeration.
 
     Independent of the DP counters: row-major depth-first fill with
-    running-sum pruning, no canonicalization, no memoization.  Refuses with
-    BudgetError when the raw grid (product of per-entry ranges) exceeds
-    ``explosion_cap``.
+    running-sum pruning, no canonicalization, no memoization, and no
+    recursion, so a budget that admits a deep grid cannot exhaust the stack.
+    Refuses with BudgetError when the raw grid (product of per-entry ranges)
+    exceeds ``explosion_cap``.
     """
     m, n = spec.rows, spec.cols
     row_lim = [c.bound for c in spec.row_constraints]
@@ -346,42 +347,43 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
     csum = [0] * n
     last = len(entries) - 1
     count = 0
-
-    def fill(pos):
-        nonlocal count
+    val = [-1] * len(entries)  # value at each entry; -1 before its first try
+    pos = 0  # depth is an index, not a stack frame
+    while pos >= 0:
         i, jj = entries[pos]
-        step = 2 if (spec.even_diagonal and i == jj) else 1
-        top = entry_bound(i, jj)
-        for v in range(0, top + 1, step):
-            if rsum[i] + v > row_lim[i] or csum[jj] + v > col_lim[jj]:
-                break
-            if spec.symmetric and i != jj and (
-                rsum[jj] + v > row_lim[jj] or csum[i] + v > col_lim[i]
-            ):
-                continue
-            rsum[i] += v
-            csum[jj] += v
-            if spec.symmetric and i != jj:
-                rsum[jj] += v
-                csum[i] += v
-            ok = True
-            if jj == n - 1 and row_exact[i] and rsum[i] != row_lim[i]:
-                ok = False  # row i is complete but missed its exact sum
-            if ok:
-                if pos == last:
-                    if all(
-                        (not col_exact[t]) or csum[t] == col_lim[t] for t in range(n)
-                    ) and all(
-                        (not row_exact[t]) or rsum[t] == row_lim[t] for t in range(m)
-                    ):
-                        count += 1
-                else:
-                    fill(pos + 1)
+        mirror = spec.symmetric and i != jj
+        v = val[pos]
+        if v < 0:
+            v = 0
+        else:  # take back the last value tried here and move to the next one
             rsum[i] -= v
             csum[jj] -= v
-            if spec.symmetric and i != jj:
+            if mirror:
                 rsum[jj] -= v
                 csum[i] -= v
-
-    fill(0)
+            v += 2 if (spec.even_diagonal and i == jj) else 1
+        # every limit only tightens as v grows, so the first miss ends this entry
+        if (
+            v > entry_bound(i, jj)
+            or rsum[i] + v > row_lim[i]
+            or csum[jj] + v > col_lim[jj]
+            or (mirror and (rsum[jj] + v > row_lim[jj] or csum[i] + v > col_lim[i]))
+        ):
+            val[pos] = -1
+            pos -= 1
+            continue
+        val[pos] = v
+        rsum[i] += v
+        csum[jj] += v
+        if mirror:
+            rsum[jj] += v
+            csum[i] += v
+        if jj == n - 1 and row_exact[i] and rsum[i] != row_lim[i]:
+            continue  # row i is complete but missed its exact sum
+        if pos < last:
+            pos += 1
+        elif all((not col_exact[t]) or csum[t] == col_lim[t] for t in range(n)) and all(
+            (not row_exact[t]) or rsum[t] == row_lim[t] for t in range(m)
+        ):
+            count += 1
     return count

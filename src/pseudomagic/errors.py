@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and the worker-thread bound."""
+
+# Ceiling on worker threads for Monte Carlo and quadrature: fixed, not the
+# host's CPU count, so the same call is valid on every machine.
+MAX_THREADS = 64
 
 
 class BudgetError(Exception):
@@ -7,3 +11,9 @@ class BudgetError(Exception):
     Distinct from ValueError so that callers (and the CLI exit-code mapping)
     can tell resource refusal apart from malformed input.
     """
+
+
+def check_threads(threads: int) -> None:
+    """Reject a worker-thread count outside 1..MAX_THREADS with ValueError (CLI exit 2)."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")

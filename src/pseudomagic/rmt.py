@@ -1,16 +1,24 @@
 """Monte Carlo laboratory over Haar-distributed unitary matrices.
 
-Secular coefficients (elementary symmetric functions of the eigenvalues) are
-obtained from power traces through Newton's identities, so the whole pipeline
-is matrix multiplication: no eigensolver.  Their absolute and mixed moments
-estimate, by simulation, quantities that the counting module computes exactly
-(line-sum matrix counts), and the exact side of the full characteristic
-polynomial moment is a plain factorial product.
+Secular coefficients (elementary symmetric functions of the eigenvalues)
+have absolute and mixed moments that estimate, by simulation, quantities the
+counting module computes exactly (line-sum matrix counts, Diaconis-Gamburd);
+the exact side of the full characteristic polynomial moment is a plain
+factorial product.
 
-Sampling is Ginibre + QR with the phase fix that makes the triangular
-factor's diagonal real positive; without the fix QR is not Haar.  Monte Carlo
-runs are reproducible: worker w draws from the w-th spawn of the seed
-sequence and partial sums are reduced in worker order, so a fixed
+Two routes produce them.  ``haar_unitary`` builds a real matrix: Ginibre +
+QR with the phase fix that makes the triangular factor's diagonal real
+positive (without the fix QR is not Haar), and ``secular_coefficients`` reads
+any matrix's coefficients from power traces through Newton's identities.
+The Monte Carlo never forms a matrix.  The eigenvalues of a Haar unitary are
+distributed as those of a CMV matrix with independent Verblunsky
+coefficients (Killip-Nenciu): ``|alpha_k|^2 ~ Beta(1, n-k-1)`` with a
+uniform phase for k < n-1, and ``alpha_{n-1}`` uniform on the circle.  The
+Szego recursion turns them into det(z - U) in O(n^2) per sample.  The QR
+route is the tests' independent reference for the Monte Carlo.
+
+Monte Carlo runs are reproducible: worker w draws from the w-th spawn of the
+seed sequence and partial sums are reduced in worker order, so a fixed
 (seed, threads) pair gives bit-identical estimates.
 """
 
@@ -24,6 +32,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from . import counting
+from .errors import check_threads
 
 DEFAULT_BATCH = 4096
 _UNITARITY_TOL = 1e-12
@@ -48,59 +57,83 @@ class MomentEstimate:
         return float(dev / self.stderr)
 
 
-def _ginibre(rng: np.random.Generator, batch: int, n: int) -> np.ndarray:
-    a = rng.standard_normal((batch, n, n))
-    b = rng.standard_normal((batch, n, n))
-    return (a + 1j * b) / np.sqrt(2.0)
-
-
-def _haar_batch(rng: np.random.Generator, batch: int, n: int) -> np.ndarray:
-    """Stack of Haar unitaries: QR of Ginibre, columns rephased by the R diagonal."""
-    q, r = np.linalg.qr(_ginibre(rng, batch, n))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    ph = d / np.abs(d)
-    return q * ph[:, None, :]
-
-
 def haar_unitary(n: int, seed: int) -> np.ndarray:
-    """One Haar-distributed n-by-n unitary; bit-identical for a fixed (n, seed)."""
+    """One Haar-distributed n-by-n unitary; bit-identical for a fixed (n, seed).
+
+    QR of a complex Ginibre matrix, columns rephased by the R diagonal.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    m = _haar_batch(np.random.Generator(np.random.Philox(seed)), 1, n)[0]
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    m = q * (d / np.abs(d))
     residual = np.max(np.abs(m @ m.conj().T - np.eye(n)))
     if residual >= _UNITARITY_TOL:
         raise RuntimeError(f"unitarity residual {residual:.3e} out of tolerance")
     return m
 
 
-def _secular_batch(ms: np.ndarray, jmax: int) -> np.ndarray:
-    """Coefficients e_0..e_jmax of each matrix in the stack, via traces + Newton's identities."""
-    batch, n = ms.shape[0], ms.shape[1]
-    p = np.empty((batch, jmax + 1), dtype=np.complex128)
-    power = ms
-    for m in range(1, jmax + 1):
-        if m > 1:
-            power = power @ ms
-        p[:, m] = np.trace(power, axis1=1, axis2=2)
-    e = np.zeros((batch, jmax + 1), dtype=np.complex128)
-    e[:, 0] = 1.0
-    for j in range(1, jmax + 1):
-        acc = np.zeros(batch, dtype=np.complex128)
-        for i in range(1, j + 1):
-            term = e[:, j - i] * p[:, i]
-            acc += term if i % 2 else -term
-        e[:, j] = acc / j
-    return e
-
-
 def secular_coefficients(m: np.ndarray) -> np.ndarray:
     """All coefficients e_0..e_n of one square matrix (e_j = j-th elementary symmetric
     function of the eigenvalues, equivalently the degree-(n-j) characteristic
-    polynomial coefficient up to sign)."""
+    polynomial coefficient up to sign), via power traces + Newton's identities."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    return _secular_batch(m[None, :, :], m.shape[0])[0]
+    n = m.shape[0]
+    # length-1 rows, not scalars: numpy's vector complex loops can round
+    # differently from its scalar ones, and `rmt secular` prints every bit
+    p = np.empty((n + 1, 1), dtype=np.complex128)
+    power = m
+    for i in range(1, n + 1):
+        if i > 1:
+            power = power @ m
+        p[i] = np.trace(power)
+    e = np.zeros((n + 1, 1), dtype=np.complex128)
+    e[0] = 1.0
+    for j in range(1, n + 1):
+        acc = np.zeros(1, dtype=np.complex128)
+        for i in range(1, j + 1):
+            term = e[j - i] * p[i]
+            acc += term if i % 2 else -term
+        e[j] = acc / j
+    return e[:, 0]
+
+
+def _verblunsky_batch(rng: np.random.Generator, batch: int, n: int) -> np.ndarray:
+    """Verblunsky coefficients of CUE(n), one column per sample (Killip-Nenciu):
+    |alpha_k|^2 ~ Beta(1, n-k-1), drawn by inversion, for k < n-1 and
+    |alpha_{n-1}| = 1, each with a uniform phase."""
+    radius = np.ones((n, batch))
+    shape = np.arange(n - 1, 0, -1)[:, None]  # n-k-1 for k = 0..n-2
+    radius[:-1] = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, batch))) / shape))
+    phase = 2 * np.pi * rng.random((n, batch))
+    alpha = np.empty((n, batch), dtype=np.complex128)
+    alpha.real = radius * np.cos(phase)  # cos and sin: a third of the cost of a complex exp
+    alpha.imag = radius * np.sin(phase)
+    return alpha
+
+
+def _szego(alpha: np.ndarray, jmax: int) -> np.ndarray:
+    """Coefficients e_0..e_jmax, one row per column of ``alpha``, of det(z - C) for
+    the CMV matrix C with those Verblunsky coefficients.
+
+    Runs Phi_{k+1}(z) = z Phi_k(z) - conj(alpha_k) Phi_k^*(z) on coefficients
+    stored from the leading one down, where z Phi_k has the same coefficients
+    and Phi_k^* is their conjugated reverse; then e_j = (-1)^j [z^(n-j)] Phi_n.
+    Coefficient-major storage keeps each update on contiguous rows of samples.
+    """
+    n, batch = alpha.shape
+    phi = np.zeros((n + 1, batch), dtype=np.complex128)
+    phi[0] = 1.0
+    calpha = np.conj(alpha)
+    for k in range(n):
+        phi[1 : k + 2] -= calpha[k] * np.conj(phi[k::-1])
+    e = phi[: jmax + 1]
+    e[1::2] *= -1
+    return e.T
 
 
 def _quotas(samples: int, threads: int):
@@ -126,8 +159,7 @@ def _mc_mean(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    check_threads(threads)
     threads = min(threads, samples)
     quotas = _quotas(samples, threads)
     streams = np.random.SeedSequence(seed).spawn(threads)
@@ -139,7 +171,7 @@ def _mc_mean(
         left = quotas[w]
         while left:
             b = min(DEFAULT_BATCH, left)
-            values = value_fn(_secular_batch(_haar_batch(rng, b, n), jmax))
+            values = value_fn(_szego(_verblunsky_batch(rng, b, n), jmax))
             s1 += complex(np.sum(values))
             s2 += float(np.sum(np.abs(values) ** 2))
             left -= b

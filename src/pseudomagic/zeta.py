@@ -22,7 +22,7 @@ import numpy as np
 
 from . import euler
 from .ehrhart import CountingPolynomial, evaluate_real, pseudomagic_polynomial
-from .errors import BudgetError
+from .errors import BudgetError, check_threads
 
 DEFAULT_TUPLE_BUDGET = 10**8
 DEFAULT_PAIR_BUDGET = 10**6
@@ -140,7 +140,7 @@ def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarra
             s = np.exp(-1j * t[a:b, None] * logs[None, :]) @ amps
             out[a:b] = np.abs(s) ** (2 * k)
 
-    if threads <= 1:
+    if threads == 1:
         fill(0, t.shape[0])
     else:
         # disjoint contiguous slices per worker; values are identical
@@ -168,6 +168,7 @@ def numeric_moment(k: int, x: int, t_max: float, steps: int, threads: int = 1):
         raise ValueError("t_max must be positive")
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    check_threads(threads)
     if x > 1:
         needed = 20 * t_max * log(x) / (2 * np.pi)
         if steps < needed:

@@ -71,6 +71,11 @@ class TestBroadCoverage:
         rc, out, _ = run_cli(["count", "contingency", "--rows", rows, "--cols", cols], capsys)
         assert rc == 0 and out == "1\n"
 
+    def test_deep_brute(self, capsys):
+        rc, out, _ = run_cli(["count", "brute", "--family", "contingency", "--rows", UNIT_ROWS,
+                              "--cols", "1200", "--budget", "1" + "0" * 400], capsys)
+        assert rc == 0 and out == "1\n"
+
     def test_poly_plain(self, capsys):
         rc, out, _ = run_cli(["ehrhart", "poly", "--family", "magic", "--k", "3"], capsys)
         assert rc == 0 and out == "1 9/4 15/8 3/4 1/8\n"
@@ -231,6 +236,14 @@ class TestExitCodes:
     def test_budget_error_is_3(self, capsys):
         rc, _, err = run_cli(["zeta", "profile", "--k", "3", "--x", "1000", "--budget", "100"], capsys)
         assert rc == 3 and "budget" in err
+
+    @pytest.mark.parametrize("cmd", [
+        ["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10", "--steps", "200"],
+        ["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "10"],
+    ], ids=["zeta", "rmt"])
+    def test_zero_threads_is_2(self, capsys, cmd):
+        rc, out, err = run_cli(cmd + ["--threads", "0"], capsys)
+        assert rc == 2 and out == "" and "threads" in err
 
     def test_brute_missing_family_params_is_2(self, capsys):
         rc, _, err = run_cli(["count", "brute", "--family", "magic", "--k", "2"], capsys)

@@ -260,6 +260,10 @@ class TestBruteForceAgreement:
         with pytest.raises(BudgetError):
             brute_force_count(magic_spec(3, 5), explosion_cap=10)
 
+    def test_brute_deep_grid(self):
+        # 1200 entries deep under a budget that admits the 2^1200 grid: no stack to exhaust
+        assert brute_force_count(contingency_spec([1] * 1200, [1200]), explosion_cap=10**400) == 1
+
 
 class TestLargerExactness:
     def test_symmetric_even_large_matches_brute(self):

@@ -6,7 +6,9 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from pseudomagic.errors import MAX_THREADS
 from pseudomagic.rmt import (
+    _szego,
     full_poly_moment_exact,
     g_factor,
     haar_unitary,
@@ -64,6 +66,53 @@ class TestSecularCoefficients:
             secular_coefficients(np.ones((2, 3)))
 
 
+def _cmv(alpha):
+    """Explicit n-by-n CMV matrix L*M of the Theta_k blocks, with Theta_{n-1} cut to conj(alpha_{n-1})."""
+    n = len(alpha)
+
+    def theta(k):
+        a = alpha[k]
+        if k == n - 1:
+            return np.array([[np.conj(a)]])
+        rho = np.sqrt(1 - abs(a) ** 2)
+        return np.array([[np.conj(a), rho], [rho, -a]])
+
+    def block_diag(blocks):
+        out = np.zeros((n, n), dtype=np.complex128)
+        at = 0
+        for b in blocks:
+            out[at : at + len(b), at : at + len(b)] = b
+            at += len(b)
+        return out
+
+    return block_diag([theta(k) for k in range(0, n, 2)]) @ block_diag(
+        [np.eye(1)] + [theta(k) for k in range(1, n, 2)]
+    )
+
+
+class TestVerblunskyRecursion:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_explicit_cmv_matrix(self, n):
+        radii = [0.1, 0.7, 0.35, 0.9, 0.5, 0.2][: n - 1] + [1.0]
+        alpha = np.array([r * np.exp(1j * (0.9 * k + 0.4)) for k, r in enumerate(radii)])
+        cmv = _cmv(alpha)
+        assert np.max(np.abs(cmv @ cmv.conj().T - np.eye(n))) < 1e-12
+        e = _szego(alpha[:, None], n)[0]
+        assert np.max(np.abs(e - secular_coefficients(cmv))) < 1e-10
+        assert abs(abs(e[n]) - 1.0) < 1e-10
+
+    def test_agrees_with_qr_where_no_count_applies(self):
+        # E|e_1|^6 at n=2: n < j*k, so no contingency target; compare the
+        # Verblunsky Monte Carlo with QR + Newton's identities by a two-sample z
+        est = secular_abs_moment_mc(1, 3, 2, 100000, seed=109)
+        assert est.target is None
+        qr = np.array([abs(secular_coefficients(haar_unitary(2, seed=s))[1]) ** 6
+                       for s in range(10000)])
+        qr_stderr = qr.std() / np.sqrt(qr.size)
+        z = abs(est.mean - qr.mean()) / np.hypot(est.stderr, qr_stderr)
+        assert z < 4
+
+
 class TestExactConstants:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_second_moment_law(self, n):
@@ -102,6 +151,11 @@ class TestMonteCarloDriver:
         a = secular_abs_moment_mc(2, 1, 5, 20000, seed=5, threads=1)
         b = secular_abs_moment_mc(2, 1, 5, 20000, seed=5, threads=3)
         assert abs(a.mean - b.mean) < 5 * (a.stderr + b.stderr)
+
+    @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1, 10**9])
+    def test_thread_count_bounded_before_any_pool(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            secular_abs_moment_mc(1, 1, 3, 10, seed=0, threads=threads)
 
     def test_more_threads_than_samples(self):
         est = secular_abs_moment_mc(1, 1, 3, 2, seed=0, threads=8)

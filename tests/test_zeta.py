@@ -7,7 +7,7 @@ import pytest
 from numpy import euler_gamma
 
 from pseudomagic.ehrhart import pseudomagic_polynomial
-from pseudomagic.errors import BudgetError
+from pseudomagic.errors import MAX_THREADS, BudgetError
 from pseudomagic.zeta import (
     convergence_ladder,
     divisor_profile,
@@ -117,6 +117,11 @@ class TestNumericMoment:
         v1, _ = numeric_moment(1, 6, 500.0, 20000, threads=1)
         v2, _ = numeric_moment(1, 6, 500.0, 20000, threads=3)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
+
+    @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1, 10**9])
+    def test_thread_count_bounded_before_any_pool(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            numeric_moment(1, 2, 10.0, 200, threads=threads)
 
     def test_odd_steps_error_estimate_spans_the_window(self):
         _, even = numeric_moment(1, 2, 100.0, 2000)
