@@ -30,6 +30,9 @@ _FAMILY_BUILDERS = {
 }
 
 
+_J_TERMS_HELP = "accepted for compatibility and ignored: a_k's local series is in closed form"
+
+
 def _int_list(text: str):
     toks = text.replace(",", " ").split()
     if not toks:
@@ -441,19 +444,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--prime-limit", type=int, default=10**5)
-    p.add_argument("--j-terms", type=int, default=64)
+    p.add_argument("--j-terms", type=int, default=64, help=_J_TERMS_HELP)
     p = _leaf(zt, "ladder", _h_zeta_ladder, "exact vs. prediction across cutoffs")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x-list", type=_int_list, required=True)
     p.add_argument("--prime-limit", type=int, default=10**5)
-    p.add_argument("--j-terms", type=int, default=64)
+    p.add_argument("--j-terms", type=int, default=64, help=_J_TERMS_HELP)
 
     eu = groups.add_parser("euler", help="arithmetic factors").add_subparsers(
         dest="op", required=True)
     p = _leaf(eu, "a", _h_euler_a, "unitary arithmetic factor")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prime-limit", type=int, default=10**5)
-    p.add_argument("--j-terms", type=int, default=64)
+    p.add_argument("--j-terms", type=int, default=64, help=_J_TERMS_HELP)
     p = _leaf(eu, "b", _h_euler_b, "symplectic arithmetic factor")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prime-limit", type=int, default=10**5)

@@ -1,32 +1,56 @@
 """Truncated Euler products for the arithmetic constants of the moment predictions.
 
-Two products are evaluated over primes p <= prime_limit:
+Two products are evaluated over primes p <= prime_limit, with x = 1/p:
 
-  unitary factor   a_k = prod_p (1-1/p)^(k^2) * sum_{j>=0} d_k(p^j)^2 / p^j
-  symplectic factor b_k = prod_p [(1-1/p)^(k(k+1)/2)/(1+1/p)]
-                               * [((1-p^(-1/2))^(-k) + (1+p^(-1/2))^(-k))/2 + 1/p]
+  unitary factor    a_k = prod_p (1-x)^(k^2) * sum_{j>=0} d_k(p^j)^2 x^j
+                        = prod_p (1-x)^((k-1)^2) * sum_{i<k} binom(k-1, i)^2 x^i
+  symplectic factor b_k = prod_p [(1-x)^(k(k+1)/2)/(1+x)]
+                               * [((1-sqrt x)^(-k) + (1+sqrt x)^(-k))/2 + x]
 
-The local series of a_k is truncated at j_terms and topped up with a geometric
-majorant of the tail, using d_k(p^j) = binom(j+k-1, k-1) <= (j+1)^(k-1).  For
-k = 1 the majorant is the exact tail, so every local factor is exactly 1 and
-the product telescopes to 1 at any truncation.
+The second form of a_k is the closed form of its local series,
+sum_j binom(j+k-1, k-1)^2 x^j = (sum_i binom(k-1, i)^2 x^i) / (1-x)^(2k-1),
+so no local factor is truncated: the only truncation is at prime_limit.
 
-All accumulation happens in mpmath extended precision (113-bit mantissa) and
-in the log domain, so the product cannot underflow even for k >= 4.  The
-reported tail_estimate is the heuristic c_k/prime_limit with c_k calibrated
-from the last included prime: |local(p_max) - 1| * p_max^2 / prime_limit.
-Local factors are 1 + O(1/p^2) for both products, which makes this an
-overestimate of the true missing tail by roughly a factor log(prime_limit).
+Both products are taken in float64 and in the log domain.  Each local log is
+split so that its leading 1 never rounds away: a_k's is
+(k-1)^2 log1p(-x) + log1p(T) with T = sum_{1<=i<k} binom(k-1, i)^2 x^i formed
+from the exact integer p^(k-1) T by one division, and b_k's bracket minus 1 is
+(expm1(-k log1p(-sqrt x)) + expm1(-k log1p(sqrt x)))/2 + x.  The local logs are
+summed with math.fsum and exponentiated once.
+
+Every local factor lies in (0, 1], because its series in x is dominated term
+by term by that of the prefactor's inverse.  For a_k, d_k(p^j)^2 <=
+d_{k^2}(p^j): every pair of k-part compositions of j is the pair of margins of
+some k-by-k table with entries summing to j.  For b_k, the bracket's
+coefficient binom(k+2m-1, 2m) is at most binom(K+m-1, m) with K = k(k+1)/2:
+every 2m-multiset of k symbols splits into m unordered pairs.  So exp never
+overflows, and once the partial log sum is below what float64 can represent,
+the product stops at 0.0.
+
+tail_estimate is the heuristic c_k/prime_limit with c_k calibrated from the
+last included prime: |local(p_max) - 1| * p_max^2 / prime_limit, with
+local - 1 taken by expm1.  Local factors are 1 + O(1/p^2) for both products,
+which makes this an overestimate of the true missing tail by roughly a factor
+log(prime_limit).  It is not a proven bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import compress
+from math import comb, exp, expm1, fsum, log, log1p, sqrt
 
-from mpmath import mp, mpf, workprec
-
-_PRECISION_BITS = 113
+# a_k's local polynomial has k-1 integer coefficients of up to 2k bits each;
+# past this the coefficients alone take tens of megabytes.  a_k is already 0.0
+# in float64 from k = 35 on.
+MAX_K_A = 10_000
+# b_k's exponent k(k+1)/2 must be a finite float64.
+MAX_K_B = 10**150
+# exp(s) is 0.0 in float64 for every s below about -745.2.
+_UNDERFLOW_LOG = -750.0
+# expm1 overflows past 709.78; beyond this (1-sqrt x)^(-k) dwarfs the bracket's x.
+_EXPM1_MAX = 700.0
+_LN2 = log(2.0)
 
 
 @dataclass(frozen=True)
@@ -51,7 +75,7 @@ def primes_up_to(limit: int):
         if flags[p]:
             flags[p * p:: p] = bytearray(len(flags[p * p:: p]))
         p += 1
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return list(compress(range(limit + 1), flags))
 
 
 def dk_prime_power(k: int, j: int) -> int:
@@ -63,71 +87,82 @@ def dk_prime_power(k: int, j: int) -> int:
     return comb(j + k - 1, k - 1)
 
 
-def _local_a(k: int, p: int, j_terms: int):
-    """Local factor of a_k at p, in mpmath precision: prefactor times tail-completed series."""
-    s = mpf(0)
-    for j in range(j_terms + 1):
-        s += mpf(dk_prime_power(k, j) ** 2) / p ** j
-    # tail majorant: d_k(p^j)^2 <= (j+1)^(2(k-1)), geometric from j_terms+1 on
-    e = 2 * (k - 1)
-    t_next = mpf((j_terms + 2) ** e) / p ** (j_terms + 1)
-    ratio = mpf((j_terms + 3) ** e) / (mpf((j_terms + 2) ** e) * p)
-    if ratio >= 1:
-        raise ValueError(f"j_terms={j_terms} too small for k={k}: tail ratio >= 1 at p={p}")
-    s += t_next / (1 - ratio)
-    return k * k * mp.log(1 - mpf(1) / p) + mp.log(s)
+def _local_a(coeffs, p: int) -> float:
+    """log of a_k's local factor at p; coeffs are binom(k-1, i)^2 for i = 1..k-1."""
+    n = len(coeffs)
+    m = 0
+    for c in coeffs:
+        m = m * p + c
+    pn = p**n
+    try:
+        log_series = log1p(m / pn)
+    except OverflowError:
+        # T beyond float64 range: log T >= 709, so nothing cancels
+        log_series = log(m + pn) - n * log(p)
+    return n * n * log1p(-1 / p) + log_series
 
 
-def _local_b(k: int, p: int):
-    """Local factor of b_k at p, in mpmath precision (log scale)."""
-    q = mp.sqrt(mpf(1) / p)
-    avg = ((1 - q) ** (-k) + (1 + q) ** (-k)) / 2
-    bracket = avg + mpf(1) / p
-    return (
-        (k * (k + 1) // 2) * mp.log(1 - mpf(1) / p)
-        - mp.log(1 + mpf(1) / p)
-        + mp.log(bracket)
-    )
+def _local_b(k: int, p: int) -> float:
+    """log of b_k's local factor at p."""
+    x = 1 / p
+    u = -k * log1p(-sqrt(x))
+    v = -k * log1p(sqrt(x))
+    if u < _EXPM1_MAX:
+        log_bracket = log1p((expm1(u) + expm1(v)) / 2 + x)
+    else:
+        # the average is e^u (1 + e^(v-u))/2, and x adds less than e^(-699) to its log
+        log_bracket = u - _LN2 + log1p(exp(v - u))
+    return (k * (k + 1) // 2) * log1p(-x) - log1p(x) + log_bracket
 
 
 def _accumulate(k: int, prime_limit: int, j_terms: int, local_log) -> EulerFactorResult:
     ps = primes_up_to(prime_limit)
-    if not ps:
+    logs = []
+    partial = 0.0
+    for p in ps:
+        logs.append(local_log(p))
+        partial += logs[-1]
+        if partial < _UNDERFLOW_LOG:
+            # every remaining local log is <= 0 (up to rounding far below the
+            # margin to -745.2), so the value is 0.0
+            break
+    last = logs[-1] if len(logs) == len(ps) else local_log(ps[-1])
+    return EulerFactorResult(
+        k=k,
+        prime_limit=prime_limit,
+        j_terms=j_terms,
+        value=exp(fsum(logs)),
+        tail_estimate=abs(expm1(last)) * ps[-1] ** 2 / prime_limit,
+    )
+
+
+def _check(k: int, prime_limit: int, max_k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k > max_k:
+        raise ValueError(f"k must be at most {max_k}")
+    if prime_limit < 2:
         raise ValueError("prime_limit must be at least 2")
-    with workprec(_PRECISION_BITS):
-        acc = mpf(0)
-        last = mpf(0)
-        for p in ps:
-            last = local_log(p)
-            acc += last
-        value = mp.exp(acc)
-        p_max = ps[-1]
-        c = abs(mp.exp(last) - 1) * p_max * p_max
-        tail = c / prime_limit
-        return EulerFactorResult(
-            k=k,
-            prime_limit=prime_limit,
-            j_terms=j_terms,
-            value=float(value),
-            tail_estimate=float(tail),
-        )
 
 
 def arithmetic_factor_a(k: int, prime_limit: int = 10**5, j_terms: int = 64) -> EulerFactorResult:
-    """Truncated unitary arithmetic factor a_k with a per-prime tail-completed local series."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be at least 2")
+    """Truncated unitary arithmetic factor a_k from the closed-form local factors.
+
+    j_terms is accepted for compatibility and ignored (it must still be >= 1):
+    the local series is summed in closed form, not truncated.
+    """
+    _check(k, prime_limit, MAX_K_A)
     if j_terms < 1:
         raise ValueError("j_terms must be at least 1")
-    return _accumulate(k, prime_limit, j_terms, lambda p: _local_a(k, p, j_terms))
+    coeffs = []
+    c = 1
+    for i in range(1, k):
+        c = c * (k - i) // i
+        coeffs.append(c * c)
+    return _accumulate(k, prime_limit, j_terms, lambda p: _local_a(coeffs, p))
 
 
 def arithmetic_factor_b(k: int, prime_limit: int = 10**5) -> EulerFactorResult:
     """Truncated symplectic arithmetic factor b_k (closed-form local factors, no series cutoff)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be at least 2")
+    _check(k, prime_limit, MAX_K_B)
     return _accumulate(k, prime_limit, 0, lambda p: _local_b(k, p))

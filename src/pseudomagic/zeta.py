@@ -216,7 +216,8 @@ def convergence_ladder(
     term, but only logarithmically, and ratio_full carries the error of the
     full prediction's lower-order terms (see `prediction`).  For k=1,
     ratio_full = H_x / (log x + 1), which approaches 1 from below at rate
-    (1 - gamma)/(log x + 1).
+    (1 - gamma)/(log x + 1).  j_terms is passed on to
+    `euler.arithmetic_factor_a`, which ignores it.
     """
     factor = euler.arithmetic_factor_a(k, prime_limit=prime_limit, j_terms=j_terms)
     gpoly = pseudomagic_polynomial(k)

@@ -1,6 +1,7 @@
 """Command-line interface: exact stdout, JSON discipline, exit codes, reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -244,6 +245,18 @@ class TestExitCodes:
     def test_zero_threads_is_2(self, capsys, cmd):
         rc, out, err = run_cli(cmd + ["--threads", "0"], capsys)
         assert rc == 2 and out == "" and "threads" in err
+
+    @pytest.mark.parametrize("factor,k,code", [
+        ("a", "30", 0), ("a", "300", 0), ("a", "1000", 0), ("a", "10001", 2),
+        ("b", "300", 0), ("b", "1200", 0),
+    ])
+    def test_large_k_euler_ends_in_a_value_or_2(self, capsys, factor, k, code):
+        rc, out, err = run_cli(["euler", factor, "--k", k, "--prime-limit", "100"], capsys)
+        assert rc == code
+        if rc == 0:
+            assert math.isfinite(float(out)) and err == ""
+        else:
+            assert out == "" and err.count("\n") == 1
 
     def test_brute_missing_family_params_is_2(self, capsys):
         rc, _, err = run_cli(["count", "brute", "--family", "magic", "--k", "2"], capsys)

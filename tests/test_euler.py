@@ -1,16 +1,43 @@
 """Arithmetic factors: local-count identities, anchors, and truncation self-consistency."""
 
-from math import pi
+import subprocess
+import sys
+from functools import lru_cache
+from math import comb, isfinite, pi
 
 import pytest
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
 from pseudomagic.euler import (
+    MAX_K_A,
+    MAX_K_B,
     arithmetic_factor_a,
     arithmetic_factor_b,
     dk_prime_power,
     primes_up_to,
 )
+
+
+def _local_a_ref(k, p):
+    x = mpf(1) / p
+    return (1 - x) ** ((k - 1) ** 2) * sum(comb(k - 1, i) ** 2 * x**i for i in range(k))
+
+
+def _local_b_ref(k, p):
+    x = mpf(1) / p
+    q = mp.sqrt(x)
+    bracket = ((1 - q) ** (-k) + (1 + q) ** (-k)) / 2 + x
+    return (1 - x) ** (k * (k + 1) // 2) / (1 + x) * bracket
+
+
+@lru_cache(maxsize=None)
+def _product_ref(local, k, limit):
+    """The closed-form product at 200 bits, multiplied directly (no logs, no fsum)."""
+    with workprec(200):
+        acc = mpf(1)
+        for p in primes_up_to(limit):
+            acc *= local(k, p)
+        return acc
 
 
 class TestPrimes:
@@ -43,6 +70,20 @@ class TestLocalCounts:
         with pytest.raises(ValueError):
             dk_prime_power(1, -1)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_closed_form_of_local_series(self, k):
+        # sum_j d_k(p^j)^2 x^j * (1-x)^(2k-1) == sum_i binom(k-1, i)^2 x^i,
+        # compared coefficient by coefficient in exact integers
+        n = 40
+        series = [dk_prime_power(k, j) ** 2 for j in range(n)]
+        factor = [(-1) ** i * comb(2 * k - 1, i) for i in range(2 * k)]
+        product = [
+            sum(series[j] * factor[d - j] for j in range(d + 1) if d - j < len(factor))
+            for d in range(n)
+        ]
+        closed = [comb(k - 1, i) ** 2 for i in range(k)]
+        assert product == closed + [0] * (n - k)
+
 
 class TestFactorA:
     def test_k1_telescopes(self):
@@ -65,11 +106,22 @@ class TestFactorA:
         res = arithmetic_factor_a(2, prime_limit=100, j_terms=32)
         assert res.k == 2 and res.prime_limit == 100 and res.j_terms == 32
 
-    def test_shallow_series_rejected_for_large_k(self):
-        # the tail majorant's geometric ratio exceeds 1 at p=2 when the
-        # series is cut too early for the growth of the local counts
-        with pytest.raises(ValueError):
-            arithmetic_factor_a(8, prime_limit=100, j_terms=1)
+    def test_j_terms_is_inert(self):
+        # the local series is summed in closed form, so its old cutoff does nothing
+        shallow = arithmetic_factor_a(8, prime_limit=100, j_terms=1)
+        deep = arithmetic_factor_a(8, prime_limit=100, j_terms=64)
+        assert isfinite(shallow.value) and shallow.value > 0
+        assert shallow.value == deep.value
+        assert shallow.tail_estimate == deep.tail_estimate
+
+    @pytest.mark.parametrize("k", [35, 300])
+    def test_underflow_keeps_the_last_prime_tail(self, k):
+        # the product is 0.0 after p=2, but the tail still comes from p_max=97
+        res = arithmetic_factor_a(k, prime_limit=100)
+        assert res.value == 0.0
+        with workprec(200):
+            ref = abs(_local_a_ref(k, 97) - 1) * 97**2 / 100
+        assert res.tail_estimate == pytest.approx(float(ref), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +130,8 @@ class TestFactorA:
             arithmetic_factor_a(2, prime_limit=1)
         with pytest.raises(ValueError):
             arithmetic_factor_a(2, prime_limit=100, j_terms=0)
+        with pytest.raises(ValueError):
+            arithmetic_factor_a(MAX_K_A + 1, prime_limit=100)
 
 
 class TestFactorB:
@@ -109,8 +163,39 @@ class TestFactorB:
         r2 = arithmetic_factor_b(2, prime_limit=4 * 10**4)
         assert abs(r2.value - r1.value) < 1e-4
 
+    def test_large_k_underflows(self):
+        # (1 - p^(-1/2))^(-k) overflows float64 at p=2 from k of about 580 on
+        res = arithmetic_factor_b(1200, prime_limit=100)
+        assert res.value == 0.0 and isfinite(res.tail_estimate)
+        res = arithmetic_factor_b(MAX_K_B, prime_limit=100)
+        assert res.value == 0.0 and isfinite(res.tail_estimate)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             arithmetic_factor_b(0, prime_limit=100)
         with pytest.raises(ValueError):
             arithmetic_factor_b(1, prime_limit=1)
+        with pytest.raises(ValueError):
+            arithmetic_factor_b(MAX_K_B + 1, prime_limit=100)
+
+
+class TestAgainstHighPrecision:
+    """Float64 log-domain products against the same closed forms at 200 bits."""
+
+    @pytest.mark.parametrize("limit", [2000, 10**4])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_factor_a(self, k, limit):
+        ref = _product_ref(_local_a_ref, k, limit)
+        assert abs(arithmetic_factor_a(k, prime_limit=limit).value - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("limit", [2000, 10**4])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_factor_b(self, k, limit):
+        ref = _product_ref(_local_b_ref, k, limit)
+        assert abs(arithmetic_factor_b(k, prime_limit=limit).value - ref) <= 1e-14 * ref
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, pseudomagic; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
