@@ -1,5 +1,11 @@
 """Command-line front end: every operation behind one argparse grammar.
 
+Each leaf command is one row of COMMANDS: its group, name, help text, flags
+(keys of FLAGS), the metadata keys of its JSON document and a handler.  One
+loop builds the parser from the table.  A handler returns the value, or an
+Out that adds the plain-mode text and any metadata not read from the parsed
+arguments; main assembles the document.
+
 Output discipline: plain mode prints a bare human-readable value; --json wraps
 the same value in a {command, value, metadata} document.  Exact numbers are
 serialized losslessly (integers natively, rationals as "p/q" strings); floats
@@ -13,7 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,16 +29,21 @@ from . import counting, ehrhart, euler, genfun, rmt, zeta
 from .errors import MAX_THREADS, BudgetError
 
 _FAMILY_BUILDERS = {
-    "contingency": ("rows cols", lambda a: counting.contingency_spec(a.rows, a.cols)),
-    "magic": ("k j", lambda a: counting.magic_spec(a.k, a.j)),
-    "pseudomagic": ("k l", lambda a: counting.pseudomagic_spec(a.k, a.l)),
-    "pseudomagic-multi": ("bounds", lambda a: counting.pseudomagic_multi_spec(a.bounds)),
-    "sym-even": ("k j", lambda a: counting.symmetric_even_spec(a.k, a.j)),
-    "sym-even-bounded": ("k l", lambda a: counting.symmetric_even_bounded_spec(a.k, a.l)),
+    "contingency": ("rows cols", counting.contingency_spec),
+    "magic": ("k j", counting.magic_spec),
+    "pseudomagic": ("k l", counting.pseudomagic_spec),
+    "pseudomagic-multi": ("bounds", counting.pseudomagic_multi_spec),
+    "sym-even": ("k j", counting.symmetric_even_spec),
+    "sym-even-bounded": ("k l", counting.symmetric_even_bounded_spec),
 }
 
-
-_J_TERMS_HELP = "accepted for compatibility and ignored: a_k's local series is in closed form"
+# A command's one budget, by its metadata name: --budget, else this default.
+_BUDGETS = {
+    "explosion_cap": counting.DEFAULT_GRID_BUDGET,
+    "term_budget": genfun.DEFAULT_TERM_BUDGET,
+    "tuple_budget": zeta.DEFAULT_TUPLE_BUDGET,
+    "pair_budget": zeta.DEFAULT_PAIR_BUDGET,
+}
 
 
 def _int_list(text: str):
@@ -41,6 +54,28 @@ def _int_list(text: str):
         return tuple(int(t) for t in toks)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_J_TERMS_HELP = "accepted for compatibility and ignored: a_k's local series is in closed form"
+
+# add_argument keywords per flag.  A flag is required unless it has a default
+# or its row writes it with a trailing "?"; the option is "--" + the key up to
+# any ".", so "family.poly" is --family with the choices of `ehrhart poly`.
+FLAGS = {
+    **{name: {"type": int} for name in ("k", "j", "l", "n", "x", "samples", "steps")},
+    **{name: {"type": _int_list} for name in ("rows", "cols", "bounds", "alpha", "beta",
+                                               "x-list", "a", "b")},
+    "x.real": {"type": float},
+    "t-max": {"type": float},
+    "z-angle": {"type": float, "default": 0.0},
+    "cap": {"type": int, "default": None},
+    "prime-limit": {"type": int, "default": 10**5},
+    "j-terms": {"type": int, "default": 64, "help": _J_TERMS_HELP},
+    "family.brute": {"choices": sorted(_FAMILY_BUILDERS)},
+    "family.poly": {"choices": ["magic", "pseudomagic", "sym-even-bounded"]},
+    "family.hvector": {"choices": ["magic", "pseudomagic"], "default": "magic"},
+    "family.volume": {"choices": ["pseudomagic", "magic"]},
+}
 
 
 def _round15(x: float) -> float:
@@ -75,266 +110,218 @@ def _plain(v) -> str:
     return json.dumps(_jsonable(v), sort_keys=True)
 
 
-def _estimate_value(est: rmt.MomentEstimate) -> dict:
-    z = est.z_score()
-    return {
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "target": est.target,
-        "z": z,
-    }
+class Out(NamedTuple):
+    """A handler's value, its plain-mode text if not the value's own, and extra metadata."""
+
+    value: object
+    plain: str | None = None
+    extra: dict = {}
 
 
-def _estimate_plain(est: rmt.MomentEstimate) -> str:
-    mean = est.mean
-    head = f"{mean:.15g}" if not isinstance(mean, complex) else f"{mean.real:.15g}{mean.imag:+.15g}j"
-    out = f"mean={head} stderr={est.stderr:.6g} samples={est.samples}"
-    if est.target is not None:
-        out += f" target={est.target} z={est.z_score():.3g}"
-    return out
+#### handlers of the rows that are more than one call: each returns a value or an Out ####
 
 
-#### handlers: each returns (value, metadata, plain_text_or_None) ####
-
-
-def _require(a, names: str, family: str):
-    for name in names.split():
-        if getattr(a, name, None) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for family {family}")
-
-
-def _h_count_contingency(a):
-    v = counting.count_contingency(a.rows, a.cols)
-    return v, {"rows": list(a.rows), "cols": list(a.cols)}, None
-
-
-def _h_count_magic(a):
-    return counting.count_magic(a.k, a.j), {"k": a.k, "j": a.j}, None
-
-
-def _h_count_pseudomagic(a):
-    return counting.count_pseudomagic(a.k, a.l), {"k": a.k, "l": a.l}, None
-
-
-def _h_count_multi(a):
-    return counting.count_pseudomagic_multi(a.bounds), {"bounds": list(a.bounds)}, None
-
-
-def _h_count_sym_even(a):
-    return counting.count_symmetric_even(a.k, a.j), {"k": a.k, "j": a.j}, None
-
-
-def _h_count_sym_even_bounded(a):
-    return counting.count_symmetric_even_bounded(a.k, a.l), {"k": a.k, "l": a.l}, None
-
-
-def _h_count_brute(a):
-    needs, build = _FAMILY_BUILDERS[a.family]
-    _require(a, needs, a.family)
-    cap = a.budget if a.budget is not None else counting.DEFAULT_GRID_BUDGET
-    v = counting.brute_force_count(build(a), explosion_cap=cap)
-    return v, {"family": a.family, "explosion_cap": cap}, None
+def _brute(a):
+    names, spec = _FAMILY_BUILDERS[a.family]
+    params = [getattr(a, name) for name in names.split()]
+    for name, v in zip(names.split(), params):
+        if v is None:
+            raise ValueError(f"--{name} is required for family {a.family}")
+    return counting.brute_force_count(spec(*params), explosion_cap=a.explosion_cap)
 
 
 def _poly_payload(p: ehrhart.CountingPolynomial) -> dict:
     return {"degree": p.degree, "coefficients": p.as_strings()}
 
 
-def _h_ehrhart_poly(a):
-    if a.family == "sym-even-bounded":
-        pair = ehrhart.symmetric_even_bounded_polynomials(a.k)
-        value = {
-            "even": _poly_payload(pair.even),
-            "odd": _poly_payload(pair.odd),
-            "leading_agree": pair.leading_coefficients_agree,
-        }
-        plain = (
-            "even " + " ".join(pair.even.as_strings())
-            + "\nodd " + " ".join(pair.odd.as_strings())
-            + f"\nleading_agree {_plain(pair.leading_coefficients_agree)}"
-        )
-        return value, {"family": a.family, "k": a.k}, plain
-    p = ehrhart.magic_polynomial(a.k) if a.family == "magic" else ehrhart.pseudomagic_polynomial(a.k)
-    return _poly_payload(p), {"family": a.family, "k": a.k}, " ".join(p.as_strings())
+def _polynomial(a) -> ehrhart.CountingPolynomial:
+    return ehrhart.magic_polynomial(a.k) if a.family == "magic" else ehrhart.pseudomagic_polynomial(a.k)
 
 
-def _h_ehrhart_hvector(a):
-    p = ehrhart.magic_polynomial(a.k) if a.family == "magic" else ehrhart.pseudomagic_polynomial(a.k)
-    hv = ehrhart.h_vector(p)
-    value = {"entries": list(hv.entries), "stripped": list(hv.stripped())}
-    return value, {"family": a.family, "k": a.k}, " ".join(str(e) for e in hv.stripped())
-
-
-def _h_ehrhart_zeros(a):
-    ok = ehrhart.check_trivial_zeros(ehrhart.magic_polynomial(a.k), a.k)
-    return ok, {"k": a.k}, None
-
-
-def _h_ehrhart_reciprocity(a):
-    ok = ehrhart.check_reciprocity(ehrhart.magic_polynomial(a.k), a.k)
-    return ok, {"k": a.k}, None
-
-
-def _h_ehrhart_volume(a):
-    v = ehrhart.substochastic_volume(a.k) if a.family == "pseudomagic" else ehrhart.birkhoff_volume(a.k)
-    return v, {"family": a.family, "k": a.k}, None
-
-
-def _h_oracle_contour(a):
-    budget = a.budget if a.budget is not None else genfun.DEFAULT_TERM_BUDGET
-    v = genfun.contour_coefficient(a.k, a.l, term_budget=budget)
-    return v, {"k": a.k, "l": a.l, "term_budget": budget}, None
-
-
-def _h_oracle_expansion(a):
-    budget = a.budget if a.budget is not None else genfun.DEFAULT_TERM_BUDGET
-    v = genfun.expansion_count(a.alpha, a.beta, cap=a.cap, term_budget=budget)
-    meta = {"alpha": list(a.alpha), "beta": list(a.beta), "cap": a.cap, "term_budget": budget}
-    return v, meta, None
-
-
-def _profile_bounds(a):
-    if a.bounds is not None:
-        return a.bounds
-    if a.x is None:
-        raise ValueError("give either --x or --bounds")
-    return a.x
-
-
-def _h_zeta_profile(a):
-    budget = a.budget if a.budget is not None else zeta.DEFAULT_TUPLE_BUDGET
-    prof = zeta.divisor_profile(a.k, _profile_bounds(a), tuple_budget=budget)
-    pairs = sorted(prof.counts.items())
+def _poly(a):
+    if a.family != "sym-even-bounded":
+        p = _polynomial(a)
+        return Out(_poly_payload(p), " ".join(p.as_strings()))
+    pair = ehrhart.symmetric_even_bounded_polynomials(a.k)
     value = {
-        "bounds": list(prof.bounds),
-        "total_tuples": prof.total_tuples,
-        "distinct_products": len(pairs),
-        "counts": [[n, d] for n, d in pairs],
+        "even": _poly_payload(pair.even),
+        "odd": _poly_payload(pair.odd),
+        "leading_agree": pair.leading_coefficients_agree,
     }
-    plain = "\n".join(f"{n} {d}" for n, d in pairs)
-    return value, {"k": a.k, "tuple_budget": budget}, plain
-
-
-def _h_zeta_mv(a):
-    budget = a.budget if a.budget is not None else zeta.DEFAULT_TUPLE_BUDGET
-    prof = zeta.divisor_profile(a.k, _profile_bounds(a), tuple_budget=budget)
-    v = zeta.mv_pseudomoment(prof)
-    return v, {"k": a.k, "bounds": list(prof.bounds), "tuple_budget": budget}, None
-
-
-def _h_zeta_pairs(a):
-    budget = a.budget if a.budget is not None else zeta.DEFAULT_PAIR_BUDGET
-    v = zeta.pair_sum_oracle(a.k, a.x, pair_budget=budget)
-    return v, {"k": a.k, "x": a.x, "pair_budget": budget}, None
-
-
-def _h_zeta_integrate(a):
-    v, err = zeta.numeric_moment(a.k, a.x, a.t_max, a.steps, threads=a.threads)
-    value = {"value": v, "error": err}
-    meta = {"k": a.k, "x": a.x, "t_max": a.t_max, "steps": a.steps, "threads": a.threads}
-    return value, meta, f"{v:.15g} ± {err:.3g}"
-
-
-def _h_zeta_predict(a):
-    factor = euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit, j_terms=a.j_terms)
-    gpoly = ehrhart.pseudomagic_polynomial(a.k)
-    full, leading = zeta.prediction(a.k, a.x, factor.value, gpoly)
-    value = {"full": full, "leading": leading, "arithmetic_factor": factor.value}
-    meta = {"k": a.k, "x": a.x, "prime_limit": a.prime_limit, "j_terms": a.j_terms}
-    return value, meta, f"{full:.15g} {leading:.15g}"
-
-
-def _h_zeta_ladder(a):
-    budget = a.budget if a.budget is not None else zeta.DEFAULT_TUPLE_BUDGET
-    rows = zeta.convergence_ladder(
-        a.k, a.x_list, prime_limit=a.prime_limit, j_terms=a.j_terms, tuple_budget=budget
+    plain = (
+        "even " + " ".join(pair.even.as_strings())
+        + "\nodd " + " ".join(pair.odd.as_strings())
+        + f"\nleading_agree {_plain(pair.leading_coefficients_agree)}"
     )
-    value = [
-        {
-            "x": r.x,
-            "exact": r.exact,
-            "prediction_full": r.prediction_full,
-            "prediction_leading": r.prediction_leading,
-            "ratio_full": r.ratio_full,
-            "ratio_leading": r.ratio_leading,
-        }
-        for r in rows
-    ]
-    meta = {"k": a.k, "prime_limit": a.prime_limit, "j_terms": a.j_terms}
+    return Out(value, plain)
+
+
+def _hvector(a):
+    hv = ehrhart.h_vector(_polynomial(a))
+    value = {"entries": hv.entries, "stripped": hv.stripped()}
+    return Out(value, " ".join(str(e) for e in hv.stripped()))
+
+
+def _divisor_profile(a) -> zeta.DivisorProfile:
+    if a.bounds is None and a.x is None:
+        raise ValueError("give either --x or --bounds")
+    bounds = a.bounds if a.bounds is not None else a.x
+    return zeta.divisor_profile(a.k, bounds, tuple_budget=a.tuple_budget)
+
+
+def _profile(a):
+    prof = _divisor_profile(a)
+    pairs = sorted(prof.counts.items())
+    value = {"bounds": prof.bounds, "total_tuples": prof.total_tuples,
+             "distinct_products": len(pairs), "counts": pairs}
+    return Out(value, "\n".join(f"{n} {d}" for n, d in pairs))
+
+
+def _mv(a):
+    prof = _divisor_profile(a)
+    return Out(zeta.mv_pseudomoment(prof), extra={"bounds": prof.bounds})
+
+
+def _integrate(a):
+    v, err = zeta.numeric_moment(a.k, a.x, a.t_max, a.steps, threads=a.threads)
+    return Out({"value": v, "error": err}, f"{v:.15g} ± {err:.3g}")
+
+
+def _predict(a):
+    factor = euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit, j_terms=a.j_terms).value
+    full, leading = zeta.prediction(a.k, a.x, factor, ehrhart.pseudomagic_polynomial(a.k))
+    value = {"full": full, "leading": leading, "arithmetic_factor": factor}
+    return Out(value, f"{full:.15g} {leading:.15g}")
+
+
+def _ladder(a):
+    rows = zeta.convergence_ladder(
+        a.k, a.x_list, prime_limit=a.prime_limit, j_terms=a.j_terms, tuple_budget=a.tuple_budget
+    )
     lines = ["x exact full leading ratio_full ratio_leading"]
     lines += [
         f"{r.x} {float(r.exact):.10g} {r.prediction_full:.10g} "
         f"{r.prediction_leading:.10g} {r.ratio_full:.6f} {r.ratio_leading:.6f}"
         for r in rows
     ]
-    return value, meta, "\n".join(lines)
+    return Out([asdict(r) for r in rows], "\n".join(lines))
 
 
-def _euler_meta(res: euler.EulerFactorResult) -> dict:
-    return {
-        "k": res.k,
-        "prime_limit": res.prime_limit,
-        "j_terms": res.j_terms,
-        "tail_estimate": res.tail_estimate,
-    }
+def _euler(res: euler.EulerFactorResult):
+    return Out(res.value, extra={"j_terms": res.j_terms, "tail_estimate": res.tail_estimate})
 
 
-def _h_euler_a(a):
-    res = euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit, j_terms=a.j_terms)
-    return res.value, _euler_meta(res), None
-
-
-def _h_euler_b(a):
-    res = euler.arithmetic_factor_b(a.k, prime_limit=a.prime_limit)
-    return res.value, _euler_meta(res), None
-
-
-def _h_rmt_sample(a):
+def _sample(a):
     m = rmt.haar_unitary(a.n, a.seed)
-    value = [[[x.real, x.imag] for x in row] for row in m]
-    plain = np.array2string(m, precision=8, suppress_small=False)
-    return value, {"n": a.n, "seed": a.seed}, plain
+    return Out(m, np.array2string(m, precision=8, suppress_small=False))
 
 
-def _h_rmt_secular(a):
+def _secular(a):
     e = rmt.secular_coefficients(rmt.haar_unitary(a.n, a.seed))
-    value = [[x.real, x.imag] for x in e]
-    plain = "\n".join(f"{j} {x.real:+.12e} {x.imag:+.12e}" for j, x in enumerate(e))
-    return value, {"n": a.n, "seed": a.seed}, plain
+    return Out(e, "\n".join(f"{j} {x.real:+.12e} {x.imag:+.12e}" for j, x in enumerate(e)))
 
 
-def _h_rmt_moment(a):
-    est = rmt.secular_abs_moment_mc(a.j, a.k, a.n, a.samples, a.seed, threads=a.threads)
-    meta = {"j": a.j, "k": a.k, "n": a.n, "seed": a.seed, "threads": a.threads}
-    return _estimate_value(est), meta, _estimate_plain(est)
+def _estimate(est: rmt.MomentEstimate):
+    mean, z = est.mean, est.z_score()
+    head = f"{mean:.15g}" if not isinstance(mean, complex) else f"{mean.real:.15g}{mean.imag:+.15g}j"
+    plain = f"mean={head} stderr={est.stderr:.6g} samples={est.samples}"
+    if est.target is not None:
+        plain += f" target={est.target} z={z:.3g}"
+    value = {"mean": mean, "stderr": est.stderr, "samples": est.samples, "target": est.target, "z": z}
+    return Out(value, plain)
 
 
-def _h_rmt_mixed(a):
-    est = rmt.mixed_moment_mc(a.a, a.b, a.n, a.samples, a.seed, threads=a.threads)
-    meta = {"a": list(a.a), "b": list(a.b), "n": a.n, "seed": a.seed, "threads": a.threads}
-    return _estimate_value(est), meta, _estimate_plain(est)
+#### the command table ####
 
 
-def _h_rmt_truncated(a):
-    z = complex(np.exp(1j * a.z_angle))
-    est = rmt.truncated_poly_moment_mc(a.l, a.k, a.n, z, a.samples, a.seed, threads=a.threads)
-    meta = {
-        "l": a.l, "k": a.k, "n": a.n, "z_angle": a.z_angle,
-        "seed": a.seed, "threads": a.threads,
-    }
-    return _estimate_value(est), meta, _estimate_plain(est)
+class Command(NamedTuple):
+    group: str
+    name: str
+    help: str
+    flags: str
+    meta: str
+    handler: Callable
+    budget: str | None = None  # key of _BUDGETS that --budget sets
 
 
-def _h_rmt_exact(a):
-    return rmt.full_poly_moment_exact(a.n, a.k), {"n": a.n, "k": a.k}, None
+GROUPS = {
+    "count": "exact matrix counts",
+    "ehrhart": "count polynomials and volumes",
+    "oracle": "generating-function cross-checks",
+    "zeta": "partial-sum pseudomoments",
+    "euler": "arithmetic factors",
+    "rmt": "Haar-unitary Monte Carlo",
+}
 
-
-def _h_rmt_gfactor(a):
-    return rmt.g_factor(a.k), {"k": a.k}, None
-
-
-#### parser construction ####
+C = Command
+COMMANDS = [
+    C("count", "contingency", "prescribed row and column sums", "rows cols", "rows cols",
+      lambda a: counting.count_contingency(a.rows, a.cols)),
+    C("count", "magic", "all line sums exactly j", "k j", "k j",
+      lambda a: counting.count_magic(a.k, a.j)),
+    C("count", "pseudomagic", "all line sums at most l", "k l", "k l",
+      lambda a: counting.count_pseudomagic(a.k, a.l)),
+    C("count", "pseudomagic-multi", "per-index line-sum bounds", "bounds", "bounds",
+      lambda a: counting.count_pseudomagic_multi(a.bounds)),
+    C("count", "sym-even", "symmetric, even diagonal, exact sums", "k j", "k j",
+      lambda a: counting.count_symmetric_even(a.k, a.j)),
+    C("count", "sym-even-bounded", "symmetric, even diagonal, bounded sums", "k l", "k l",
+      lambda a: counting.count_symmetric_even_bounded(a.k, a.l)),
+    C("count", "brute", "entry-by-entry enumeration oracle",
+      "family.brute rows? cols? bounds? k? j? l?", "family explosion_cap", _brute, "explosion_cap"),
+    C("ehrhart", "poly", "reconstruct the count polynomial", "family.poly k", "family k", _poly),
+    C("ehrhart", "hvector", "numerator vector of the count series", "family.hvector k",
+      "family k", _hvector),
+    C("ehrhart", "zeros", "check the trivial negative zeros", "k", "k",
+      lambda a: ehrhart.check_trivial_zeros(ehrhart.magic_polynomial(a.k), a.k)),
+    C("ehrhart", "reciprocity", "check the reflection identity", "k", "k",
+      lambda a: ehrhart.check_reciprocity(ehrhart.magic_polynomial(a.k), a.k)),
+    C("ehrhart", "volume", "polytope volume from the leading coefficient", "family.volume k",
+      "family k", lambda a: ehrhart.substochastic_volume(a.k) if a.family == "pseudomagic"
+      else ehrhart.birkhoff_volume(a.k)),
+    C("oracle", "contour", "bounded count as a master-series coefficient", "k l",
+      "k l term_budget", lambda a: genfun.contour_coefficient(a.k, a.l, term_budget=a.term_budget),
+      "term_budget"),
+    C("oracle", "expansion", "contingency count as a series coefficient", "alpha beta cap",
+      "alpha beta cap term_budget",
+      lambda a: genfun.expansion_count(a.alpha, a.beta, cap=a.cap, term_budget=a.term_budget),
+      "term_budget"),
+    C("zeta", "profile", "restricted divisor counts", "k x? bounds?", "k tuple_budget",
+      _profile, "tuple_budget"),
+    C("zeta", "mv", "exact mean value of the squared partial sum", "k x? bounds?",
+      "k bounds tuple_budget", _mv, "tuple_budget"),
+    C("zeta", "pairs", "pair-enumeration oracle for the mean value", "k x", "k x pair_budget",
+      lambda a: zeta.pair_sum_oracle(a.k, a.x, pair_budget=a.pair_budget), "pair_budget"),
+    C("zeta", "integrate", "direct trapezoid time average", "k x t-max steps",
+      "k x t_max steps threads", _integrate),
+    C("zeta", "predict", "arithmetic-factor times count-polynomial",
+      "k x.real prime-limit j-terms", "k x prime_limit j_terms", _predict),
+    C("zeta", "ladder", "exact vs. prediction across cutoffs", "k x-list prime-limit j-terms",
+      "k prime_limit j_terms", _ladder, "tuple_budget"),
+    C("euler", "a", "unitary arithmetic factor", "k prime-limit j-terms",
+      "k prime_limit j_terms tail_estimate",
+      lambda a: _euler(euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit, j_terms=a.j_terms))),
+    C("euler", "b", "symplectic arithmetic factor", "k prime-limit",
+      "k prime_limit j_terms tail_estimate",
+      lambda a: _euler(euler.arithmetic_factor_b(a.k, prime_limit=a.prime_limit))),
+    C("rmt", "sample", "draw one Haar unitary", "n", "n seed", _sample),
+    C("rmt", "secular", "secular coefficients of one draw", "n", "n seed", _secular),
+    C("rmt", "moment", "E|e_j|^(2k) against the magic count", "j k n samples",
+      "j k n seed threads",
+      lambda a: _estimate(rmt.secular_abs_moment_mc(a.j, a.k, a.n, a.samples, a.seed,
+                                                    threads=a.threads))),
+    C("rmt", "mixed", "mixed secular moment against the contingency count", "a b n samples",
+      "a b n seed threads",
+      lambda a: _estimate(rmt.mixed_moment_mc(a.a, a.b, a.n, a.samples, a.seed, threads=a.threads))),
+    C("rmt", "truncated", "truncated characteristic polynomial moment against the bounded count",
+      "l k n samples z-angle", "l k n z_angle seed threads",
+      lambda a: _estimate(rmt.truncated_poly_moment_mc(
+          a.l, a.k, a.n, complex(np.exp(1j * a.z_angle)), a.samples, a.seed, threads=a.threads))),
+    C("rmt", "exact", "full polynomial moment, exact rational", "n k", "n k",
+      lambda a: rmt.full_poly_moment_exact(a.n, a.k)),
+    C("rmt", "gfactor", "large-dimension moment scale, exact rational", "k", "k",
+      lambda a: rmt.g_factor(a.k)),
+]
 
 
 def _add_globals(p: argparse.ArgumentParser, leaf: bool):
@@ -350,13 +337,6 @@ def _add_globals(p: argparse.ArgumentParser, leaf: bool):
                    help="override the resource budget (tuples, terms, grid cells)")
 
 
-def _leaf(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_text)
-    _add_globals(p, leaf=True)
-    p.set_defaults(handler=handler)
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="pseudomagic",
@@ -365,131 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_globals(root, leaf=False)
     groups = root.add_subparsers(dest="group", required=True)
-
-    count = groups.add_parser("count", help="exact matrix counts").add_subparsers(
-        dest="op", required=True)
-    p = _leaf(count, "contingency", _h_count_contingency, "prescribed row and column sums")
-    p.add_argument("--rows", type=_int_list, required=True)
-    p.add_argument("--cols", type=_int_list, required=True)
-    p = _leaf(count, "magic", _h_count_magic, "all line sums exactly j")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p = _leaf(count, "pseudomagic", _h_count_pseudomagic, "all line sums at most l")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p = _leaf(count, "pseudomagic-multi", _h_count_multi, "per-index line-sum bounds")
-    p.add_argument("--bounds", type=_int_list, required=True)
-    p = _leaf(count, "sym-even", _h_count_sym_even, "symmetric, even diagonal, exact sums")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p = _leaf(count, "sym-even-bounded", _h_count_sym_even_bounded,
-              "symmetric, even diagonal, bounded sums")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p = _leaf(count, "brute", _h_count_brute, "entry-by-entry enumeration oracle")
-    p.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), required=True)
-    p.add_argument("--rows", type=_int_list)
-    p.add_argument("--cols", type=_int_list)
-    p.add_argument("--bounds", type=_int_list)
-    p.add_argument("--k", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--l", type=int)
-
-    ehr = groups.add_parser("ehrhart", help="count polynomials and volumes").add_subparsers(
-        dest="op", required=True)
-    p = _leaf(ehr, "poly", _h_ehrhart_poly, "reconstruct the count polynomial")
-    p.add_argument("--family", choices=["magic", "pseudomagic", "sym-even-bounded"],
-                   required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = _leaf(ehr, "hvector", _h_ehrhart_hvector, "numerator vector of the count series")
-    p.add_argument("--family", choices=["magic", "pseudomagic"], default="magic")
-    p.add_argument("--k", type=int, required=True)
-    p = _leaf(ehr, "zeros", _h_ehrhart_zeros, "check the trivial negative zeros")
-    p.add_argument("--k", type=int, required=True)
-    p = _leaf(ehr, "reciprocity", _h_ehrhart_reciprocity, "check the reflection identity")
-    p.add_argument("--k", type=int, required=True)
-    p = _leaf(ehr, "volume", _h_ehrhart_volume, "polytope volume from the leading coefficient")
-    p.add_argument("--family", choices=["pseudomagic", "magic"], required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    orc = groups.add_parser("oracle", help="generating-function cross-checks").add_subparsers(
-        dest="op", required=True)
-    p = _leaf(orc, "contour", _h_oracle_contour, "bounded count as a master-series coefficient")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p = _leaf(orc, "expansion", _h_oracle_expansion, "contingency count as a series coefficient")
-    p.add_argument("--alpha", type=_int_list, required=True)
-    p.add_argument("--beta", type=_int_list, required=True)
-    p.add_argument("--cap", type=int, default=None)
-
-    zt = groups.add_parser("zeta", help="partial-sum pseudomoments").add_subparsers(
-        dest="op", required=True)
-    p = _leaf(zt, "profile", _h_zeta_profile, "restricted divisor counts")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int)
-    p.add_argument("--bounds", type=_int_list)
-    p = _leaf(zt, "mv", _h_zeta_mv, "exact mean value of the squared partial sum")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int)
-    p.add_argument("--bounds", type=_int_list)
-    p = _leaf(zt, "pairs", _h_zeta_pairs, "pair-enumeration oracle for the mean value")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p = _leaf(zt, "integrate", _h_zeta_integrate, "direct trapezoid time average")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p = _leaf(zt, "predict", _h_zeta_predict, "arithmetic-factor times count-polynomial")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--prime-limit", type=int, default=10**5)
-    p.add_argument("--j-terms", type=int, default=64, help=_J_TERMS_HELP)
-    p = _leaf(zt, "ladder", _h_zeta_ladder, "exact vs. prediction across cutoffs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x-list", type=_int_list, required=True)
-    p.add_argument("--prime-limit", type=int, default=10**5)
-    p.add_argument("--j-terms", type=int, default=64, help=_J_TERMS_HELP)
-
-    eu = groups.add_parser("euler", help="arithmetic factors").add_subparsers(
-        dest="op", required=True)
-    p = _leaf(eu, "a", _h_euler_a, "unitary arithmetic factor")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prime-limit", type=int, default=10**5)
-    p.add_argument("--j-terms", type=int, default=64, help=_J_TERMS_HELP)
-    p = _leaf(eu, "b", _h_euler_b, "symplectic arithmetic factor")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prime-limit", type=int, default=10**5)
-
-    rm = groups.add_parser("rmt", help="Haar-unitary Monte Carlo").add_subparsers(
-        dest="op", required=True)
-    p = _leaf(rm, "sample", _h_rmt_sample, "draw one Haar unitary")
-    p.add_argument("--n", type=int, required=True)
-    p = _leaf(rm, "secular", _h_rmt_secular, "secular coefficients of one draw")
-    p.add_argument("--n", type=int, required=True)
-    p = _leaf(rm, "moment", _h_rmt_moment, "E|e_j|^(2k) against the magic count")
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p = _leaf(rm, "mixed", _h_rmt_mixed, "mixed secular moment against the contingency count")
-    p.add_argument("--a", type=_int_list, required=True)
-    p.add_argument("--b", type=_int_list, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p = _leaf(rm, "truncated", _h_rmt_truncated,
-              "truncated characteristic polynomial moment against the bounded count")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--z-angle", type=float, default=0.0)
-    p = _leaf(rm, "exact", _h_rmt_exact, "full polynomial moment, exact rational")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = _leaf(rm, "gfactor", _h_rmt_gfactor, "large-dimension moment scale, exact rational")
-    p.add_argument("--k", type=int, required=True)
-
+    for group, group_help in GROUPS.items():
+        ops = groups.add_parser(group, help=group_help).add_subparsers(dest="op", required=True)
+        for cmd in (c for c in COMMANDS if c.group == group):
+            p = ops.add_parser(cmd.name, help=cmd.help)
+            _add_globals(p, leaf=True)
+            p.set_defaults(command=cmd)
+            for token in cmd.flags.split():
+                kw = FLAGS[token.rstrip("?")]
+                required = not token.endswith("?") and "default" not in kw
+                p.add_argument("--" + token.rstrip("?").split(".")[0], required=required, **kw)
     return root
 
 
@@ -498,18 +363,25 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(10**7)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    cmd = args.command
+    if cmd.budget:
+        setattr(args, cmd.budget, _BUDGETS[cmd.budget] if args.budget is None else args.budget)
     try:
-        value, metadata, plain = args.handler(args)
+        out = cmd.handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(out, Out):
+        out = Out(out)
 
+    metadata = {key: out.extra[key] if key in out.extra else getattr(args, key)
+                for key in cmd.meta.split()}
     doc = {
         "command": " ".join(argv),
-        "value": _jsonable(value),
+        "value": _jsonable(out.value),
         "metadata": _jsonable(metadata),
     }
     text = json.dumps(doc, sort_keys=True)
@@ -519,7 +391,7 @@ def main(argv=None) -> int:
     if args.json:
         print(text)
     else:
-        print(plain if plain is not None else _plain(value))
+        print(out.plain if out.plain is not None else _plain(out.value))
     return 0
 
 

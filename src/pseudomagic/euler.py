@@ -40,12 +40,16 @@ from dataclasses import dataclass
 from itertools import compress
 from math import comb, exp, expm1, fsum, log, log1p, sqrt
 
+from .errors import BudgetError
+
 # a_k's local polynomial has k-1 integer coefficients of up to 2k bits each;
 # past this the coefficients alone take tens of megabytes.  a_k is already 0.0
 # in float64 from k = 35 on.
 MAX_K_A = 10_000
 # b_k's exponent k(k+1)/2 must be a finite float64.
 MAX_K_B = 10**150
+# The sieve takes one byte per integer; a_k at this limit peaks near 500 MiB.
+MAX_PRIME_LIMIT = 10**8
 # exp(s) is 0.0 in float64 for every s below about -745.2.
 _UNDERFLOW_LOG = -750.0
 # expm1 overflows past 709.78; beyond this (1-sqrt x)^(-k) dwarfs the bracket's x.
@@ -65,7 +69,9 @@ class EulerFactorResult:
 
 
 def primes_up_to(limit: int):
-    """All primes <= limit, by a plain byte sieve."""
+    """All primes <= limit, by a plain byte sieve; BudgetError above MAX_PRIME_LIMIT."""
+    if limit > MAX_PRIME_LIMIT:
+        raise BudgetError(f"prime limit {limit} exceeds the sieve ceiling of {MAX_PRIME_LIMIT}")
     if limit < 2:
         return []
     flags = bytearray([1]) * (limit + 1)

@@ -32,9 +32,11 @@ from math import factorial, sqrt
 import numpy as np
 
 from . import counting
-from .errors import check_threads
+from .errors import BudgetError, check_threads
 
 DEFAULT_BATCH = 4096
+# haar_unitary holds several n-by-n arrays at once; at this many entries it peaks near 1 GiB.
+MAX_HAAR_ENTRIES = 10**7
 _UNITARITY_TOL = 1e-12
 
 
@@ -60,10 +62,15 @@ class MomentEstimate:
 def haar_unitary(n: int, seed: int) -> np.ndarray:
     """One Haar-distributed n-by-n unitary; bit-identical for a fixed (n, seed).
 
-    QR of a complex Ginibre matrix, columns rephased by the R diagonal.
+    QR of a complex Ginibre matrix, columns rephased by the R diagonal.  Refused
+    with BudgetError above MAX_HAAR_ENTRIES entries.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n * n > MAX_HAAR_ENTRIES:
+        raise BudgetError(
+            f"{n}x{n} unitary has {n * n} entries, above the ceiling of {MAX_HAAR_ENTRIES}"
+        )
     rng = np.random.Generator(np.random.Philox(seed))
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(g)
@@ -258,7 +265,7 @@ def truncated_poly_moment_mc(
     if k < 1:
         raise ValueError("k must be positive")
     z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-12:
+    if not abs(abs(z) - 1.0) <= 1e-12:  # written so that a NaN |z| fails it too
         raise ValueError(f"|z| = {abs(z)!r} is not on the unit circle")
     target = counting.count_pseudomagic(k, l) if n >= l * k else None
     weights = np.array([z ** (n - j) * (-1) ** j for j in range(l + 1)], dtype=np.complex128)

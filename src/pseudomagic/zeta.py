@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import log, prod
+from math import inf, log, prod
 
 import numpy as np
 
@@ -166,6 +166,8 @@ def numeric_moment(k: int, x: int, t_max: float, steps: int, threads: int = 1):
         raise ValueError("k and x must be positive")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if not t_max < inf:  # NaN passes the check above but not this one
+        raise ValueError("t_max must be finite")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     check_threads(threads)
@@ -194,10 +196,13 @@ def prediction(k: int, x, a_k: float, gpoly: CountingPolynomial):
     substochastic volume times (log x)^(k^2).  The lower-order terms of the
     full prediction a_k * G_k(log x) are not asymptotically exact; for k=1 it
     is log x + 1, while the true mean value is H_x = log x + gamma + O(1/x).
+    x must be positive and finite (ValueError otherwise).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    logx = log(x)
+    if not -inf < x < inf:  # false for NaN too; an int x of any size passes
+        raise ValueError("x must be finite")
+    logx = log(x)  # ValueError unless x > 0
     full = a_k * evaluate_real(gpoly, logx)
     leading = a_k * float(gpoly.leading_coefficient) * logx ** (k * k)
     return full, leading

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -258,6 +259,24 @@ class TestExitCodes:
         else:
             assert out == "" and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("cmd", [
+        ["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "10", "--z-angle"],
+        ["zeta", "integrate", "--k", "1", "--x", "5", "--steps", "200", "--t-max"],
+        ["zeta", "predict", "--k", "1", "--prime-limit", "100", "--x"],
+    ], ids=["z-angle", "t-max", "x"])
+    def test_non_finite_float_is_2(self, capsys, cmd, value):
+        rc, out, err = run_cli(cmd + [value], capsys)
+        assert rc == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("cmd,limit", [
+        (["euler", "a", "--k", "1", "--prime-limit", "10000000000"], "100000000"),
+        (["rmt", "sample", "--n", "100000"], "10000000"),
+    ], ids=["prime-limit", "haar-n"])
+    def test_fixed_ceiling_is_3(self, capsys, cmd, limit):
+        rc, out, err = run_cli(cmd, capsys)
+        assert rc == 3 and out == "" and err.count("\n") == 1 and limit in err
+
     def test_brute_missing_family_params_is_2(self, capsys):
         rc, _, err = run_cli(["count", "brute", "--family", "magic", "--k", "2"], capsys)
         assert rc == 2 and "--j" in err
@@ -285,3 +304,112 @@ class TestReproducibility:
         a = subprocess.run(cmd, capture_output=True, check=True).stdout
         b = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert a == b
+
+
+# Every leaf once: its --json metadata keys and, for the exact leaves, its plain
+# and --json stdout bytes.  The values were taken from the implementation that
+# built one argparse handler per leaf, so a rewrite of the front end must keep them.
+LEAVES = [
+    (["count", "contingency", "--rows", "2,1,1", "--cols", "3,1"], "cols rows", "3\n",
+     '{"metadata": {"cols": [3, 1], "rows": [2, 1, 1]}, "value": 3}'),
+    (["count", "magic", "--k", "3", "--j", "2"], "j k", "21\n",
+     '{"metadata": {"j": 2, "k": 3}, "value": 21}'),
+    (["count", "pseudomagic", "--k", "2", "--l", "2"], "k l", "26\n",
+     '{"metadata": {"k": 2, "l": 2}, "value": 26}'),
+    (["count", "pseudomagic-multi", "--bounds", "3,1"], "bounds", "17\n",
+     '{"metadata": {"bounds": [3, 1]}, "value": 17}'),
+    (["count", "sym-even", "--k", "2", "--j", "4"], "j k", "3\n",
+     '{"metadata": {"j": 4, "k": 2}, "value": 3}'),
+    (["count", "sym-even-bounded", "--k", "2", "--l", "4"], "k l", "19\n",
+     '{"metadata": {"k": 2, "l": 4}, "value": 19}'),
+    (["count", "brute", "--family", "pseudomagic-multi", "--bounds", "2,1"],
+     "explosion_cap family", "12\n",
+     '{"metadata": {"explosion_cap": 10000000, "family": "pseudomagic-multi"}, "value": 12}'),
+    (["ehrhart", "poly", "--family", "sym-even-bounded", "--k", "1"], "family k",
+     "even 1 1/2\nodd 1/2 1/2\nleading_agree true\n",
+     '{"metadata": {"family": "sym-even-bounded", "k": 1}, "value": {"even": {"coefficients": '
+     '["1", "1/2"], "degree": 1}, "leading_agree": true, "odd": {"coefficients": ["1/2", "1/2"], '
+     '"degree": 1}}}'),
+    (["ehrhart", "hvector", "--family", "pseudomagic", "--k", "2"], "family k", "1 2 1\n",
+     '{"metadata": {"family": "pseudomagic", "k": 2}, "value": {"entries": [1, 2, 1, 0, 0], '
+     '"stripped": [1, 2, 1]}}'),
+    (["ehrhart", "zeros", "--k", "3"], "k", "true\n",
+     '{"metadata": {"k": 3}, "value": true}'),
+    (["ehrhart", "reciprocity", "--k", "3"], "k", "true\n",
+     '{"metadata": {"k": 3}, "value": true}'),
+    (["ehrhart", "volume", "--family", "pseudomagic", "--k", "2"], "family k", "1/6\n",
+     '{"metadata": {"family": "pseudomagic", "k": 2}, "value": "1/6"}'),
+    (["oracle", "contour", "--k", "2", "--l", "2"], "k l term_budget", "26\n",
+     '{"metadata": {"k": 2, "l": 2, "term_budget": 10000000}, "value": 26}'),
+    (["oracle", "expansion", "--alpha", "2,1,1", "--beta", "3,1"], "alpha beta cap term_budget",
+     "3\n",
+     '{"metadata": {"alpha": [2, 1, 1], "beta": [3, 1], "cap": null, "term_budget": 10000000}, '
+     '"value": 3}'),
+    (["zeta", "profile", "--k", "2", "--bounds", "2,3"], "k tuple_budget",
+     "1 1\n2 2\n3 1\n4 1\n6 1\n",
+     '{"metadata": {"k": 2, "tuple_budget": 100000000}, "value": {"bounds": [2, 3], "counts": '
+     '[[1, 1], [2, 2], [3, 1], [4, 1], [6, 1]], "distinct_products": 5, "total_tuples": 6}}'),
+    (["zeta", "mv", "--k", "2", "--x", "3"], "bounds k tuple_budget", "193/36\n",
+     '{"metadata": {"bounds": [3, 3], "k": 2, "tuple_budget": 100000000}, "value": "193/36"}'),
+    (["zeta", "pairs", "--k", "2", "--x", "2"], "k pair_budget x", "13/4\n",
+     '{"metadata": {"k": 2, "pair_budget": 1000000, "x": 2}, "value": "13/4"}'),
+    (["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10", "--steps", "200"],
+     "k steps t_max threads x", None, None),
+    (["zeta", "predict", "--k", "1", "--x", "100", "--prime-limit", "100"],
+     "j_terms k prime_limit x", None, None),
+    (["zeta", "ladder", "--k", "1", "--x-list", "10,100", "--prime-limit", "1000"],
+     "j_terms k prime_limit", None, None),
+    (["euler", "a", "--k", "2", "--prime-limit", "1000"],
+     "j_terms k prime_limit tail_estimate", None, None),
+    (["euler", "b", "--k", "2", "--prime-limit", "1000"],
+     "j_terms k prime_limit tail_estimate", None, None),
+    (["rmt", "sample", "--n", "3"], "n seed", None, None),
+    (["rmt", "secular", "--n", "4"], "n seed", None, None),
+    (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50"],
+     "j k n seed threads", None, None),
+    (["rmt", "mixed", "--a", "1", "--b", "0", "--n", "3", "--samples", "50"],
+     "a b n seed threads", None, None),
+    (["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "50"],
+     "k l n seed threads z_angle", None, None),
+    (["rmt", "exact", "--n", "20", "--k", "2"], "k n", "19481\n",
+     '{"metadata": {"k": 2, "n": 20}, "value": "19481"}'),
+    (["rmt", "gfactor", "--k", "2"], "k", "1/12\n",
+     '{"metadata": {"k": 2}, "value": "1/12"}'),
+]
+
+HELP_LISTS = [
+    ([], "count ehrhart oracle zeta euler rmt"),
+    (["count"], "contingency magic pseudomagic pseudomagic-multi sym-even sym-even-bounded brute"),
+    (["ehrhart"], "poly hvector zeros reciprocity volume"),
+    (["oracle"], "contour expansion"),
+    (["zeta"], "profile mv pairs integrate predict ladder"),
+    (["euler"], "a b"),
+    (["rmt"], "sample secular moment mixed truncated exact gfactor"),
+]
+
+
+class TestSurface:
+    def test_every_leaf_listed_once(self):
+        leaves = [" ".join(argv[:2]) for argv, *_ in LEAVES]
+        listed = [f"{g[0]} {leaf}" for g, names in HELP_LISTS[1:] for leaf in names.split()]
+        assert sorted(leaves) == sorted(listed) and len(listed) == 29
+
+    @pytest.mark.parametrize("argv,keys,plain,doc", LEAVES, ids=[" ".join(c[0][:2]) for c in LEAVES])
+    def test_leaf(self, capsys, argv, keys, plain, doc):
+        rc, out, err = run_cli(["--json"] + argv, capsys)
+        assert rc == 0 and err == ""
+        assert sorted(json.loads(out)["metadata"]) == keys.split()
+        if doc is not None:
+            command = json.dumps(" ".join(["--json"] + argv))
+            assert out == '{"command": ' + command + ", " + doc[1:] + "\n"
+            rc, out, err = run_cli(argv, capsys)
+            assert rc == 0 and out == plain and err == ""
+
+    @pytest.mark.parametrize("prefix,names", HELP_LISTS,
+                             ids=[" ".join(p) or "root" for p, _ in HELP_LISTS])
+    def test_help_lists_leaves_in_order(self, capsys, prefix, names):
+        with pytest.raises(SystemExit) as exc:
+            main(prefix + ["--help"])
+        assert exc.value.code == 0
+        listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == names.split()

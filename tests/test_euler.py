@@ -8,9 +8,11 @@ from math import comb, isfinite, pi
 import pytest
 from mpmath import mp, mpf, workprec
 
+from pseudomagic.errors import BudgetError
 from pseudomagic.euler import (
     MAX_K_A,
     MAX_K_B,
+    MAX_PRIME_LIMIT,
     arithmetic_factor_a,
     arithmetic_factor_b,
     dk_prime_power,
@@ -50,6 +52,12 @@ class TestPrimes:
 
     def test_count_to_1e4(self):
         assert len(primes_up_to(10**4)) == 1229
+
+    @pytest.mark.parametrize("factor", [primes_up_to, lambda n: arithmetic_factor_a(1, n),
+                                        lambda n: arithmetic_factor_b(1, n)])
+    def test_ceiling_refused_before_the_sieve(self, factor):
+        with pytest.raises(BudgetError, match=str(MAX_PRIME_LIMIT)):
+            factor(MAX_PRIME_LIMIT + 1)
 
 
 class TestLocalCounts:

@@ -6,8 +6,9 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from pseudomagic.errors import MAX_THREADS
+from pseudomagic.errors import MAX_THREADS, BudgetError
 from pseudomagic.rmt import (
+    MAX_HAAR_ENTRIES,
     _szego,
     full_poly_moment_exact,
     g_factor,
@@ -38,6 +39,12 @@ class TestHaarSampling:
     def test_validation(self):
         with pytest.raises(ValueError):
             haar_unitary(0, seed=1)
+
+    def test_size_ceiling(self):
+        n = int(MAX_HAAR_ENTRIES**0.5) + 1
+        assert n * n > MAX_HAAR_ENTRIES
+        with pytest.raises(BudgetError, match=str(MAX_HAAR_ENTRIES)):
+            haar_unitary(n, seed=1)
 
 
 class TestSecularCoefficients:
@@ -242,8 +249,9 @@ class TestTruncatedMoments:
         assert est.target is None
 
     def test_non_unit_z_rejected(self):
-        with pytest.raises(ValueError):
-            truncated_poly_moment_mc(1, 1, 4, 1.5, 10, seed=1)
+        for z in (1.5, float("nan"), float("inf"), complex("nan+nanj")):
+            with pytest.raises(ValueError):
+                truncated_poly_moment_mc(1, 1, 4, z, 10, seed=1)
 
     def test_l_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,9 @@ class TestNumericMoment:
             numeric_moment(1, 2, -1.0, 100)
         with pytest.raises(ValueError):
             numeric_moment(1, 2, 10.0, 1)
+        for t_max in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t_max"):
+                numeric_moment(1, 2, t_max, 100)
 
 
 class TestPrediction:
@@ -155,6 +158,15 @@ class TestPrediction:
         gpoly = pseudomagic_polynomial(2)
         _, leading = prediction(2, 1000, 0.5, gpoly)
         assert leading == pytest.approx(0.5 * float(gpoly.leading_coefficient) * log(1000) ** 4)
+
+    def test_validation(self):
+        gpoly = pseudomagic_polynomial(1)
+        for k, x in [(0, 10), (1, 0), (1, -2.0), (1, float("nan")), (1, float("inf")),
+                     (1, float("-inf"))]:
+            with pytest.raises(ValueError):
+                prediction(k, x, 1.0, gpoly)
+        full, _ = prediction(1, 10**400, 1.0, gpoly)
+        assert full == pytest.approx(400 * log(10) + 1)
 
 
 class TestLadder:
