@@ -217,8 +217,15 @@ def _sample(a):
 
 
 def _secular(a):
+    rmt.check_secular_n(a.n)  # before the draw, which alone costs O(n^3)
     e = rmt.secular_coefficients(rmt.haar_unitary(a.n, a.seed))
     return Out(e, "\n".join(f"{j} {x.real:+.12e} {x.imag:+.12e}" for j, x in enumerate(e)))
+
+
+def _unit(angle: float) -> complex:
+    if not np.isfinite(angle):  # checked first: numpy warns on exp(1j * inf)
+        raise ValueError(f"--z-angle must be finite, got {angle!r}")
+    return complex(np.exp(1j * angle))
 
 
 def _estimate(est: rmt.MomentEstimate):
@@ -316,7 +323,7 @@ COMMANDS = [
     C("rmt", "truncated", "truncated characteristic polynomial moment against the bounded count",
       "l k n samples z-angle", "l k n z_angle seed threads",
       lambda a: _estimate(rmt.truncated_poly_moment_mc(
-          a.l, a.k, a.n, complex(np.exp(1j * a.z_angle)), a.samples, a.seed, threads=a.threads))),
+          a.l, a.k, a.n, _unit(a.z_angle), a.samples, a.seed, threads=a.threads))),
     C("rmt", "exact", "full polynomial moment, exact rational", "n k", "n k",
       lambda a: rmt.full_poly_moment_exact(a.n, a.k)),
     C("rmt", "gfactor", "large-dimension moment scale, exact rational", "k", "k",

@@ -2,9 +2,10 @@
 
 Secular coefficients (elementary symmetric functions of the eigenvalues)
 have absolute and mixed moments that estimate, by simulation, quantities the
-counting module computes exactly (line-sum matrix counts, Diaconis-Gamburd);
-the exact side of the full characteristic polynomial moment is a plain
-factorial product.
+counting module computes exactly (line-sum matrix counts, Diaconis-Gamburd).
+The exact side of the full characteristic polynomial moment is the
+Keating-Snaith factorial product over j <= n, which telescopes to a product
+of k binomial ratios; ``full_poly_moment_exact`` evaluates that.
 
 Two routes produce them.  ``haar_unitary`` builds a real matrix: Ginibre +
 QR with the phase fix that makes the triangular factor's diagonal real
@@ -17,6 +18,10 @@ uniform phase for k < n-1, and ``alpha_{n-1}`` uniform on the circle.  The
 Szego recursion turns them into det(z - U) in O(n^2) per sample.  The QR
 route is the tests' independent reference for the Monte Carlo.
 
+Fixed ceilings refuse, with BudgetError, what would not fit or not finish:
+MAX_HAAR_ENTRIES bounds a drawn unitary and one Monte Carlo worker's
+coefficient buffer, and MAX_SECULAR_N bounds the O(n^4) power-trace route.
+
 Monte Carlo runs are reproducible: worker w draws from the w-th spawn of the
 seed sequence and partial sums are reduced in worker order, so a fixed
 (seed, threads) pair gives bit-identical estimates.
@@ -27,7 +32,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
@@ -36,7 +41,10 @@ from .errors import BudgetError, check_threads
 
 DEFAULT_BATCH = 4096
 # haar_unitary holds several n-by-n arrays at once; at this many entries it peaks near 1 GiB.
+# The same ceiling bounds one Monte Carlo worker's (n+1)-by-batch coefficient buffer.
 MAX_HAAR_ENTRIES = 10**7
+# secular_coefficients forms n matrix powers, O(n^4): 2.1 s at this size on 2 Xeon CPUs.
+MAX_SECULAR_N = 400
 _UNITARITY_TOL = 1e-12
 
 
@@ -82,14 +90,25 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     return m
 
 
+def check_secular_n(n: int) -> None:
+    """Refuse, with BudgetError, a dimension above MAX_SECULAR_N for secular_coefficients."""
+    if n > MAX_SECULAR_N:
+        raise BudgetError(
+            f"secular coefficients of a {n}x{n} matrix take O(n^4) work; "
+            f"n is capped at {MAX_SECULAR_N}"
+        )
+
+
 def secular_coefficients(m: np.ndarray) -> np.ndarray:
     """All coefficients e_0..e_n of one square matrix (e_j = j-th elementary symmetric
     function of the eigenvalues, equivalently the degree-(n-j) characteristic
-    polynomial coefficient up to sign), via power traces + Newton's identities."""
+    polynomial coefficient up to sign), via power traces + Newton's identities.
+    Refused with BudgetError above MAX_SECULAR_N rows."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     n = m.shape[0]
+    check_secular_n(n)
     # length-1 rows, not scalars: numpy's vector complex loops can round
     # differently from its scalar ones, and `rmt secular` prints every bit
     p = np.empty((n + 1, 1), dtype=np.complex128)
@@ -163,12 +182,20 @@ def _mc_mean(
     value_fn maps a (batch, jmax+1) coefficient block to one value per sample.
     Each worker owns a spawned RNG substream and a fixed quota; partial sums
     are combined in worker order, so results depend only on (seed, threads).
+    Refused with BudgetError, before any draw, when one worker's (n+1)-by-batch
+    buffer would hold more than MAX_HAAR_ENTRIES entries.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     check_threads(threads)
     threads = min(threads, samples)
     quotas = _quotas(samples, threads)
+    batch = min(DEFAULT_BATCH, quotas[0])
+    if (n + 1) * batch > MAX_HAAR_ENTRIES:
+        raise BudgetError(
+            f"a Monte Carlo worker buffer of {n + 1}x{batch} entries is above "
+            f"the ceiling of {MAX_HAAR_ENTRIES}"
+        )
     streams = np.random.SeedSequence(seed).spawn(threads)
 
     def work(w: int):
@@ -277,25 +304,20 @@ def truncated_poly_moment_mc(
 
 
 def full_poly_moment_exact(n: int, k: int) -> Fraction:
-    """E|det(z - M)|^(2k) over Haar on the unit circle, exactly:
-    prod_{j=1..n} (j-1)! (j+2k-1)! / ((j+k-1)!)^2."""
+    """E|det(z - M)|^(2k) over Haar on the unit circle, exactly (Keating-Snaith):
+    prod_{j=1..n} (j-1)! (j+2k-1)! / ((j+k-1)!)^2.  The j-th factor is
+    prod_{i<k} (j+k+i)/(j+i), which telescopes over j to prod_{i<k} C(n+i+k, k) / C(i+k, k)."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    num = 1
-    den = 1
-    for j in range(1, n + 1):
-        num *= factorial(j - 1) * factorial(j + 2 * k - 1)
-        den *= factorial(j + k - 1) ** 2
-    return Fraction(num, den)
+    return Fraction(prod(comb(n + i + k, k) for i in range(k)),
+                    prod(comb(i + k, k) for i in range(k)))
 
 
 def g_factor(k: int) -> Fraction:
-    """Large-dimension scale of the 2k-th full-polynomial moment: prod_{j=0..k-1} j!/(j+k)!."""
+    """Large-dimension scale of the 2k-th full-polynomial moment: prod_{j=0..k-1} j!/(j+k)!,
+    which is 1 / (k!^k prod_{i<k} C(i+k, k))."""
     if k < 1:
         raise ValueError("k must be positive")
-    out = Fraction(1)
-    for j in range(k):
-        out *= Fraction(factorial(j), factorial(j + k))
-    return out
+    return Fraction(1, factorial(k) ** k * prod(comb(i + k, k) for i in range(k)))

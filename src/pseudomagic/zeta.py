@@ -26,6 +26,8 @@ from .errors import BudgetError, check_threads
 
 DEFAULT_TUPLE_BUDGET = 10**8
 DEFAULT_PAIR_BUDGET = 10**6
+# numeric_moment's time grid and partial-sum terms: float arrays of this length are 80 MB.
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -68,23 +70,19 @@ def _normalize_bounds(k: int, bounds) -> tuple:
 
 
 def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> DivisorProfile:
-    """Exact restricted divisor counts by depth-first enumeration of factor tuples."""
+    """Exact restricted divisor counts: the Dirichlet convolution of the indicators of
+    1..b_i, one factor at a time, so equal partial products are merged as they form."""
     bounds = _normalize_bounds(k, bounds)
     total = prod(bounds)
     if total > tuple_budget:
         raise BudgetError(f"{total} tuples exceed the budget of {tuple_budget}")
-    counts: dict = {}
-
-    def descend(i: int, n: int):
-        if i == k - 1:
-            for l in range(1, bounds[i] + 1):
-                m = n * l
-                counts[m] = counts.get(m, 0) + 1
-            return
-        for l in range(1, bounds[i] + 1):
-            descend(i + 1, n * l)
-
-    descend(0, 1)
+    counts = {1: 1}
+    for b in bounds:
+        nxt: dict = {}
+        for n, c in counts.items():
+            for m in range(n, n * b + 1, n):
+                nxt[m] = nxt.get(m, 0) + c
+        counts = nxt
     return DivisorProfile(k=k, bounds=bounds, counts=counts)
 
 
@@ -160,7 +158,8 @@ def numeric_moment(k: int, x: int, t_max: float, steps: int, threads: int = 1):
     the trapezoid on every second node (plus the endpoint when ``steps`` is
     odd, so both rules span [0, t_max]), a crude consistency gauge rather
     than a bound.  Warns when the grid cannot resolve the fastest oscillation
-    (period 2*pi/log(x)) with 20 points.
+    (period 2*pi/log(x)) with 20 points.  Refused with BudgetError, before
+    any allocation, when steps + 1 or x exceeds MAX_GRID_POINTS.
     """
     if k < 1 or x < 1:
         raise ValueError("k and x must be positive")
@@ -171,6 +170,11 @@ def numeric_moment(k: int, x: int, t_max: float, steps: int, threads: int = 1):
     if steps < 2:
         raise ValueError("steps must be at least 2")
     check_threads(threads)
+    if max(steps + 1, x) > MAX_GRID_POINTS:
+        raise BudgetError(
+            f"quadrature over {steps + 1} grid points and {x} terms: "
+            f"each is capped at {MAX_GRID_POINTS}"
+        )
     if x > 1:
         needed = 20 * t_max * log(x) / (2 * np.pi)
         if steps < needed:

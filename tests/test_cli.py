@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -259,22 +260,31 @@ class TestExitCodes:
         else:
             assert out == "" and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("cmd", [
         ["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "10", "--z-angle"],
         ["zeta", "integrate", "--k", "1", "--x", "5", "--steps", "200", "--t-max"],
         ["zeta", "predict", "--k", "1", "--prime-limit", "100", "--x"],
     ], ids=["z-angle", "t-max", "x"])
     def test_non_finite_float_is_2(self, capsys, cmd, value):
-        rc, out, err = run_cli(cmd + [value], capsys)
-        assert rc == 2 and out == "" and err.startswith("error: ")
+        # "--flag=-inf": argparse would read a separate "-inf" as an option
+        rc, out, err = run_cli(cmd[:-1] + [f"{cmd[-1]}={value}"], capsys)
+        assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cmd,limit", [
         (["euler", "a", "--k", "1", "--prime-limit", "10000000000"], "100000000"),
         (["rmt", "sample", "--n", "100000"], "10000000"),
-    ], ids=["prime-limit", "haar-n"])
+        (["rmt", "secular", "--n", "3162"], "400"),
+        (["rmt", "moment", "--j", "1", "--k", "1", "--n", "1000000", "--samples", "4096"],
+         "10000000"),
+        (["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10",
+          "--steps", "100000000000"], "10000000"),
+    ], ids=["prime-limit", "haar-n", "secular-n", "mc-buffer", "quadrature-grid"])
     def test_fixed_ceiling_is_3(self, capsys, cmd, limit):
+        t0 = time.perf_counter()
         rc, out, err = run_cli(cmd, capsys)
+        assert time.perf_counter() - t0 < 2  # refused before any allocation or draw
         assert rc == 3 and out == "" and err.count("\n") == 1 and limit in err
 
     def test_brute_missing_family_params_is_2(self, capsys):

@@ -9,6 +9,7 @@ import pytest
 from pseudomagic.errors import MAX_THREADS, BudgetError
 from pseudomagic.rmt import (
     MAX_HAAR_ENTRIES,
+    MAX_SECULAR_N,
     _szego,
     full_poly_moment_exact,
     g_factor,
@@ -72,6 +73,10 @@ class TestSecularCoefficients:
         with pytest.raises(ValueError):
             secular_coefficients(np.ones((2, 3)))
 
+    def test_size_ceiling(self):
+        with pytest.raises(BudgetError, match=str(MAX_SECULAR_N)):
+            secular_coefficients(np.eye(MAX_SECULAR_N + 1))
+
 
 def _cmv(alpha):
     """Explicit n-by-n CMV matrix L*M of the Theta_k blocks, with Theta_{n-1} cut to conj(alpha_{n-1})."""
@@ -120,7 +125,28 @@ class TestVerblunskyRecursion:
         assert z < 4
 
 
+def _factorial_product(n, k):
+    """The moment as the Keating-Snaith product, one factorial ratio per j."""
+    num = den = 1
+    for j in range(1, n + 1):
+        num *= factorial(j - 1) * factorial(j + 2 * k - 1)
+        den *= factorial(j + k - 1) ** 2
+    return F(num, den)
+
+
 class TestExactConstants:
+    @pytest.mark.parametrize("k", range(11))
+    def test_matches_factorial_product(self, k):
+        for n in range(1, 41):
+            assert full_poly_moment_exact(n, k) == _factorial_product(n, k)
+
+    def test_g_matches_fraction_product(self):
+        for k in range(1, 41):
+            ref = F(1)
+            for j in range(k):
+                ref *= F(factorial(j), factorial(j + k))
+            assert g_factor(k) == ref
+
     @pytest.mark.parametrize("n", range(1, 21))
     def test_second_moment_law(self, n):
         assert full_poly_moment_exact(n, 1) == n + 1
@@ -163,6 +189,18 @@ class TestMonteCarloDriver:
     def test_thread_count_bounded_before_any_pool(self, threads):
         with pytest.raises(ValueError, match="threads"):
             secular_abs_moment_mc(1, 1, 3, 10, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("n,samples,threads", [
+        (10**6, 4096, 1), (3000, 4096, 1), (3000, 8192, 2),
+    ])
+    def test_buffer_ceiling_refused_before_any_draw(self, n, samples, threads):
+        with pytest.raises(BudgetError, match=str(MAX_HAAR_ENTRIES)):
+            secular_abs_moment_mc(1, 1, n, samples, seed=0, threads=threads)
+
+    def test_small_quota_stays_under_the_buffer_ceiling(self):
+        # 3000 rows are refused at full batch (above) but not for 3 samples
+        est = secular_abs_moment_mc(1, 1, 3000, 3, seed=0)
+        assert est.samples == 3 and est.target == 1
 
     def test_more_threads_than_samples(self):
         est = secular_abs_moment_mc(1, 1, 3, 2, seed=0, threads=8)

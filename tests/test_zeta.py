@@ -1,7 +1,9 @@
 """Partial-sum mean values: profiles, exact sums, dual oracle, integrator, predictions."""
 
+from collections import Counter
 from fractions import Fraction as F
-from math import exp, log
+from itertools import product
+from math import exp, log, prod
 
 import pytest
 from numpy import euler_gamma
@@ -9,6 +11,7 @@ from numpy import euler_gamma
 from pseudomagic.ehrhart import pseudomagic_polynomial
 from pseudomagic.errors import MAX_THREADS, BudgetError
 from pseudomagic.zeta import (
+    MAX_GRID_POINTS,
     convergence_ladder,
     divisor_profile,
     mv_pseudomoment,
@@ -46,6 +49,13 @@ class TestDivisorProfile:
         prof = divisor_profile(2, (3, 5))
         assert sum(prof.counts.values()) == 15
         assert prof.total_tuples == 15
+
+    @pytest.mark.parametrize("bounds", [
+        (1,), (17,), (6, 9), (12, 1), (2, 7, 5), (9, 3, 4), (3, 6, 2, 5), (1, 4, 8, 2),
+    ])
+    def test_matches_tuple_enumeration(self, bounds):
+        ref = Counter(prod(t) for t in product(*(range(1, b + 1) for b in bounds)))
+        assert divisor_profile(len(bounds), bounds).counts == ref
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
@@ -127,6 +137,11 @@ class TestNumericMoment:
         _, even = numeric_moment(1, 2, 100.0, 2000)
         _, odd = numeric_moment(1, 2, 100.0, 2001)
         assert odd <= 10 * even
+
+    @pytest.mark.parametrize("x,steps", [(5, MAX_GRID_POINTS), (MAX_GRID_POINTS + 1, 100)])
+    def test_grid_ceiling(self, x, steps):
+        with pytest.raises(BudgetError, match=str(MAX_GRID_POINTS)):
+            numeric_moment(1, x, 10.0, steps)
 
     def test_warns_on_coarse_grid(self):
         with pytest.warns(UserWarning):
