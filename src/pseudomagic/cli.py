@@ -11,7 +11,8 @@ the same value in a {command, value, metadata} document.  Exact numbers are
 serialized losslessly (integers natively, rationals as "p/q" strings); floats
 are canonicalized to 15 significant digits before serialization so that the
 emitted JSON re-serializes byte-identically after a parse round trip.  Exit
-codes: 0 success, 2 usage or domain error, 3 resource-budget refusal.
+codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
+domain error, 3 resource-budget refusal.  Each error is one stderr line.
 """
 
 from __future__ import annotations
@@ -381,6 +382,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not isinstance(out, Out):
         out = Out(out)
 

@@ -20,7 +20,8 @@ route is the tests' independent reference for the Monte Carlo.
 
 Fixed ceilings refuse, with BudgetError, what would not fit or not finish:
 MAX_HAAR_ENTRIES bounds a drawn unitary and one Monte Carlo worker's
-coefficient buffer, and MAX_SECULAR_N bounds the O(n^4) power-trace route.
+coefficient buffer, MAX_SECULAR_N bounds the O(n^4) power-trace route, and
+MAX_EXACT_K bounds k for the exact rationals, whose size grows as k^2 log k.
 
 Monte Carlo runs are reproducible: worker w draws from the w-th spawn of the
 seed sequence and partial sums are reduced in worker order, so a fixed
@@ -45,6 +46,9 @@ DEFAULT_BATCH = 4096
 MAX_HAAR_ENTRIES = 10**7
 # secular_coefficients forms n matrix powers, O(n^4): 2.1 s at this size on 2 Xeon CPUs.
 MAX_SECULAR_N = 400
+# g_factor(k) has a denominator of about k^2 log k bits; at this k it and its
+# decimal output take 0.9 s on 2 Xeon CPUs, and 2.9 s at k = 400.
+MAX_EXACT_K = 300
 _UNITARITY_TOL = 1e-12
 
 
@@ -303,21 +307,29 @@ def truncated_poly_moment_mc(
     return _mc_mean(n, l, samples, seed, threads, values, complex_valued=False, target=target)
 
 
+def _check_exact_k(k: int) -> None:
+    if k > MAX_EXACT_K:
+        raise BudgetError(f"exact moments are capped at k = {MAX_EXACT_K}, got k = {k}")
+
+
 def full_poly_moment_exact(n: int, k: int) -> Fraction:
     """E|det(z - M)|^(2k) over Haar on the unit circle, exactly (Keating-Snaith):
     prod_{j=1..n} (j-1)! (j+2k-1)! / ((j+k-1)!)^2.  The j-th factor is
-    prod_{i<k} (j+k+i)/(j+i), which telescopes over j to prod_{i<k} C(n+i+k, k) / C(i+k, k)."""
+    prod_{i<k} (j+k+i)/(j+i), which telescopes over j to prod_{i<k} C(n+i+k, k) / C(i+k, k).
+    Refused with BudgetError above MAX_EXACT_K."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    _check_exact_k(k)
     return Fraction(prod(comb(n + i + k, k) for i in range(k)),
                     prod(comb(i + k, k) for i in range(k)))
 
 
 def g_factor(k: int) -> Fraction:
     """Large-dimension scale of the 2k-th full-polynomial moment: prod_{j=0..k-1} j!/(j+k)!,
-    which is 1 / (k!^k prod_{i<k} C(i+k, k))."""
+    which is 1 / (k!^k prod_{i<k} C(i+k, k)).  Refused with BudgetError above MAX_EXACT_K."""
     if k < 1:
         raise ValueError("k must be positive")
+    _check_exact_k(k)
     return Fraction(1, factorial(k) ** k * prod(comb(i + k, k) for i in range(k)))

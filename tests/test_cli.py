@@ -280,12 +280,33 @@ class TestExitCodes:
          "10000000"),
         (["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10",
           "--steps", "100000000000"], "10000000"),
-    ], ids=["prime-limit", "haar-n", "secular-n", "mc-buffer", "quadrature-grid"])
+        (["zeta", "predict", "--x", "1000", "--k", "5", "--prime-limit", "50"], "k = 4"),
+        (["ehrhart", "poly", "--family", "magic", "--k", "7"], "k = 6"),
+        (["ehrhart", "poly", "--family", "pseudomagic", "--k", "5"], "k = 4"),
+        (["ehrhart", "poly", "--family", "sym-even-bounded", "--k", "5"], "k = 4"),
+        (["rmt", "gfactor", "--k", "1000"], "k = 300"),
+        (["rmt", "exact", "--n", "10", "--k", "1000"], "k = 300"),
+    ], ids=["prime-limit", "haar-n", "secular-n", "mc-buffer", "quadrature-grid",
+            "predict-k", "magic-k", "pseudomagic-k", "sym-even-bounded-k", "gfactor-k",
+            "exact-k"])
     def test_fixed_ceiling_is_3(self, capsys, cmd, limit):
         t0 = time.perf_counter()
         rc, out, err = run_cli(cmd, capsys)
-        assert time.perf_counter() - t0 < 2  # refused before any allocation or draw
+        assert time.perf_counter() - t0 < 2  # refused before any allocation, draw or count
         assert rc == 3 and out == "" and err.count("\n") == 1 and limit in err
+
+    def test_gfactor_at_its_ceiling_prints(self, capsys):
+        rc, out, err = run_cli(["rmt", "gfactor", "--k", "300"], capsys)
+        assert rc == 0 and err == "" and re.fullmatch(r"1/\d+\n", out)
+
+    def test_verification_failure_is_1(self, capsys, monkeypatch):
+        from pseudomagic import counting
+
+        true = counting.count_pseudomagic
+        monkeypatch.setattr(counting, "count_pseudomagic", lambda k, l: true(k, l) + (l == 2))
+        rc, out, err = run_cli(["ehrhart", "poly", "--family", "pseudomagic", "--k", "3"], capsys)
+        assert rc == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "counting bug suspected" in err
 
     def test_brute_missing_family_params_is_2(self, capsys):
         rc, _, err = run_cli(["count", "brute", "--family", "magic", "--k", "2"], capsys)

@@ -279,5 +279,5 @@ class TestLargerExactness:
 
     @pytest.mark.slow
     def test_magic_5_deep(self):
-        # the deepest magic count the polynomial reconstruction for k=5 needs
+        # a deep k=5 count; the polynomial reconstruction for k=5 needs only j <= 8
         assert count_magic(5, 18) > 0

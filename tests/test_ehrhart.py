@@ -4,13 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from pseudomagic import counting
 from pseudomagic.counting import (
     count_magic,
     count_pseudomagic,
     count_symmetric_even_bounded,
 )
 from pseudomagic.ehrhart import (
+    MAX_MAGIC_K,
+    MAX_PSEUDOMAGIC_K,
+    MAX_SYM_EVEN_BOUNDED_K,
     CountingPolynomial,
+    _interpolate_family,
     birkhoff_volume,
     check_reciprocity,
     check_trivial_zeros,
@@ -22,6 +27,14 @@ from pseudomagic.ehrhart import (
     substochastic_volume,
     symmetric_even_bounded_polynomials,
 )
+from pseudomagic.errors import BudgetError
+
+# (builder, counting-function name, degree, trivial zeros) of the two families
+# that are rebuilt from half their nodes by reciprocity
+FAMILIES = {
+    "magic": (magic_polynomial, "count_magic", lambda k: (k - 1) ** 2, lambda k: k - 1),
+    "pseudomagic": (pseudomagic_polynomial, "count_pseudomagic", lambda k: k * k, lambda k: k),
+}
 
 
 class TestCountingPolynomial:
@@ -129,7 +142,6 @@ class TestIdentities:
         # 1 + x happens to satisfy the k=2 relation; 1 + 2x does not
         assert not check_reciprocity(CountingPolynomial((1, 2)), 2)
 
-    @pytest.mark.slow
     def test_reciprocity_k5(self):
         assert check_reciprocity(magic_polynomial(5), 5)
 
@@ -143,6 +155,11 @@ class TestHVector:
 
     def test_k4_frozen(self):
         assert h_vector(magic_polynomial(4)).stripped() == (1, 14, 87, 148, 87, 14, 1)
+
+    def test_k5_published(self):
+        # the Birkhoff polytope B_5's h-vector as published (Beck-Pixton)
+        assert h_vector(magic_polynomial(5)).stripped() == (
+            1, 103, 4306, 63110, 388615, 1115068, 1575669, 1115068, 388615, 63110, 4306, 103, 1)
 
     def test_entries_padded_to_degree(self):
         hv = h_vector(magic_polynomial(3))
@@ -204,3 +221,57 @@ class TestParityPolynomials:
 
     def test_k2_leading(self):
         assert symmetric_even_bounded_polynomials(2).even.leading_coefficient == F(1, 12)
+
+
+def _corrupted_nodes():
+    """Every fitting node 0..m-1 and both verification nodes m, m+1 of each small polynomial."""
+    for family, ks in (("magic", (1, 2, 3, 4)), ("pseudomagic", (1, 2, 3))):
+        _, _, degree, zeros = FAMILIES[family]
+        for k in ks:
+            m = max(1, -(-(degree(k) + 1 - zeros(k)) // 2))
+            for x in range(m + 2):
+                yield family, k, x
+
+
+class TestReciprocalReconstruction:
+    """The builders fit half their nodes by reciprocity; the plain route counts every node."""
+
+    @pytest.mark.parametrize("family,k", [("magic", k) for k in (1, 2, 3, 4)]
+                             + [("pseudomagic", k) for k in (1, 2, 3)])
+    def test_equals_plain_route(self, family, k):
+        build, name, degree, _ = FAMILIES[family]
+        d = degree(k)
+        counter = getattr(counting, name)
+        assert build(k) == _interpolate_family(lambda x: counter(k, x), d, range(d + 3))
+
+    def test_pseudomagic_4_beyond_its_nodes(self):
+        # built from l <= 7; l = 9 and 10 are counted independently
+        p = pseudomagic_polynomial(4)
+        assert [p(l) for l in (9, 10)] == [count_pseudomagic(4, l) for l in (9, 10)]
+
+    @pytest.mark.parametrize("family,k,bad", list(_corrupted_nodes()))
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_off_by_one_count_is_a_runtime_error(self, monkeypatch, family, k, bad, delta):
+        build, name, _, _ = FAMILIES[family]
+        true = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda k_, x: true(k_, x) + (delta if x == bad else 0))
+        with pytest.raises(RuntimeError, match="counting bug suspected"):
+            build(k)
+
+
+class TestCeilings:
+    @pytest.mark.parametrize("build,ceiling", [
+        (magic_polynomial, MAX_MAGIC_K),
+        (pseudomagic_polynomial, MAX_PSEUDOMAGIC_K),
+        (symmetric_even_bounded_polynomials, MAX_SYM_EVEN_BOUNDED_K),
+    ], ids=["magic", "pseudomagic", "sym-even-bounded"])
+    def test_refused_before_any_count(self, monkeypatch, build, ceiling):
+        def no_count(*args):
+            raise AssertionError("counted before refusing")
+
+        for name in ("count_magic", "count_pseudomagic", "count_symmetric_even_bounded"):
+            monkeypatch.setattr(counting, name, no_count)
+        with pytest.raises(BudgetError, match=str(ceiling)):
+            build(ceiling + 1)
+        with pytest.raises(ValueError):
+            build(0)

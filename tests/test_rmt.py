@@ -8,6 +8,7 @@ import pytest
 
 from pseudomagic.errors import MAX_THREADS, BudgetError
 from pseudomagic.rmt import (
+    MAX_EXACT_K,
     MAX_HAAR_ENTRIES,
     MAX_SECULAR_N,
     _szego,
@@ -172,6 +173,13 @@ class TestExactConstants:
             full_poly_moment_exact(0, 1)
         with pytest.raises(ValueError):
             g_factor(0)
+
+    def test_k_ceiling(self):
+        assert g_factor(MAX_EXACT_K).denominator > 1
+        with pytest.raises(BudgetError, match=str(MAX_EXACT_K)):
+            g_factor(MAX_EXACT_K + 1)
+        with pytest.raises(BudgetError, match=str(MAX_EXACT_K)):
+            full_poly_moment_exact(10, MAX_EXACT_K + 1)
 
 
 class TestMonteCarloDriver:
