@@ -12,7 +12,11 @@ serialized losslessly (integers natively, rationals as "p/q" strings); floats
 are canonicalized to 15 significant digits before serialization so that the
 emitted JSON re-serializes byte-identically after a parse round trip.  Exit
 codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
-domain error, 3 resource-budget refusal.  Each error is one stderr line.
+domain error, 3 resource-budget refusal or exhausted memory.  Each error is one
+stderr line.
+
+numpy is imported only by the handlers that compute with it (the Monte Carlo,
+Haar and quadrature rows), so an exact command never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import counting, ehrhart, euler, genfun, rmt, zeta
 from .errors import MAX_THREADS, BudgetError
@@ -88,15 +90,18 @@ def _jsonable(v):
         return v
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (int, np.integer)):
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
+    if np is not None and isinstance(v, (np.generic, np.ndarray)):
+        return _jsonable(v.tolist())
+    if isinstance(v, int):
         return int(v)
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         return _round15(float(v))
-    if isinstance(v, (complex, np.complexfloating)):
+    if isinstance(v, complex):
         return [_round15(v.real), _round15(v.imag)]
     if isinstance(v, dict):
         return {str(k): _jsonable(u) for k, u in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
+    if isinstance(v, (list, tuple)):
         return [_jsonable(u) for u in v]
     raise TypeError(f"cannot serialize {type(v)!r}")
 
@@ -213,6 +218,8 @@ def _euler(res: euler.EulerFactorResult):
 
 
 def _sample(a):
+    import numpy as np
+
     m = rmt.haar_unitary(a.n, a.seed)
     return Out(m, np.array2string(m, precision=8, suppress_small=False))
 
@@ -224,6 +231,8 @@ def _secular(a):
 
 
 def _unit(angle: float) -> complex:
+    import numpy as np
+
     if not np.isfinite(angle):  # checked first: numpy warns on exp(1j * inf)
         raise ValueError(f"--z-angle must be finite, got {angle!r}")
     return complex(np.exp(1j * angle))
@@ -376,8 +385,8 @@ def main(argv=None) -> int:
         setattr(args, cmd.budget, _BUDGETS[cmd.budget] if args.budget is None else args.budget)
     try:
         out = cmd.handler(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

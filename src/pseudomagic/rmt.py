@@ -20,8 +20,13 @@ route is the tests' independent reference for the Monte Carlo.
 
 Fixed ceilings refuse, with BudgetError, what would not fit or not finish:
 MAX_HAAR_ENTRIES bounds a drawn unitary and one Monte Carlo worker's
-coefficient buffer, MAX_SECULAR_N bounds the O(n^4) power-trace route, and
+coefficient buffer, MAX_MC_COST bounds a Monte Carlo run's (n+1)^2 * samples
+Szego steps, MAX_SECULAR_N bounds the O(n^4) power-trace route, and
 MAX_EXACT_K bounds k for the exact rationals, whose size grows as k^2 log k.
+
+numpy is imported inside the functions that draw, multiply or sample, not at
+module level, so the exact rationals (``full_poly_moment_exact``,
+``g_factor``) run without loading it.
 
 Monte Carlo runs are reproducible: worker w draws from the w-th spawn of the
 seed sequence and partial sums are reduced in worker order, so a fixed
@@ -30,20 +35,24 @@ seed sequence and partial sums are reduced in worker order, so a fixed
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod, sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import counting
 from .errors import BudgetError, check_threads
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BATCH = 4096
 # haar_unitary holds several n-by-n arrays at once; at this many entries it peaks near 1 GiB.
 # The same ceiling bounds one Monte Carlo worker's (n+1)-by-batch coefficient buffer.
 MAX_HAAR_ENTRIES = 10**7
+# Monte Carlo cost in Szego steps, (n+1)^2 * samples: about a minute single-threaded
+# at the slowest rate measured on 2 AMD EPYC CPUs, 8.5e7 steps/s at n = 2.
+MAX_MC_COST = 5 * 10**9
 # secular_coefficients forms n matrix powers, O(n^4): 2.1 s at this size on 2 Xeon CPUs.
 MAX_SECULAR_N = 400
 # g_factor(k) has a denominator of about k^2 log k bits; at this k it and its
@@ -77,6 +86,8 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     QR of a complex Ginibre matrix, columns rephased by the R diagonal.  Refused
     with BudgetError above MAX_HAAR_ENTRIES entries.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be positive")
     if n * n > MAX_HAAR_ENTRIES:
@@ -108,6 +119,8 @@ def secular_coefficients(m: np.ndarray) -> np.ndarray:
     function of the eigenvalues, equivalently the degree-(n-j) characteristic
     polynomial coefficient up to sign), via power traces + Newton's identities.
     Refused with BudgetError above MAX_SECULAR_N rows."""
+    import numpy as np
+
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
@@ -136,6 +149,8 @@ def _verblunsky_batch(rng: np.random.Generator, batch: int, n: int) -> np.ndarra
     """Verblunsky coefficients of CUE(n), one column per sample (Killip-Nenciu):
     |alpha_k|^2 ~ Beta(1, n-k-1), drawn by inversion, for k < n-1 and
     |alpha_{n-1}| = 1, each with a uniform phase."""
+    import numpy as np
+
     radius = np.ones((n, batch))
     shape = np.arange(n - 1, 0, -1)[:, None]  # n-k-1 for k = 0..n-2
     radius[:-1] = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, batch))) / shape))
@@ -155,6 +170,8 @@ def _szego(alpha: np.ndarray, jmax: int) -> np.ndarray:
     and Phi_k^* is their conjugated reverse; then e_j = (-1)^j [z^(n-j)] Phi_n.
     Coefficient-major storage keeps each update on contiguous rows of samples.
     """
+    import numpy as np
+
     n, batch = alpha.shape
     phi = np.zeros((n + 1, batch), dtype=np.complex128)
     phi[0] = 1.0
@@ -187,8 +204,13 @@ def _mc_mean(
     Each worker owns a spawned RNG substream and a fixed quota; partial sums
     are combined in worker order, so results depend only on (seed, threads).
     Refused with BudgetError, before any draw, when one worker's (n+1)-by-batch
-    buffer would hold more than MAX_HAAR_ENTRIES entries.
+    buffer would hold more than MAX_HAAR_ENTRIES entries or the run would take
+    more than MAX_MC_COST Szego steps.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     if samples < 1:
         raise ValueError("samples must be positive")
     check_threads(threads)
@@ -199,6 +221,11 @@ def _mc_mean(
         raise BudgetError(
             f"a Monte Carlo worker buffer of {n + 1}x{batch} entries is above "
             f"the ceiling of {MAX_HAAR_ENTRIES}"
+        )
+    if (n + 1) ** 2 * samples > MAX_MC_COST:
+        raise BudgetError(
+            f"Monte Carlo of {samples} samples at n = {n} takes (n+1)^2 * samples = "
+            f"{(n + 1) ** 2 * samples} Szego steps, above the ceiling of {MAX_MC_COST}"
         )
     streams = np.random.SeedSequence(seed).spawn(threads)
 
@@ -242,7 +269,7 @@ def secular_abs_moment_mc(
     target = counting.count_magic(k, j) if n >= j * k else None
     return _mc_mean(
         n, j, samples, seed, threads,
-        lambda e: np.abs(e[:, j]) ** (2 * k),
+        lambda e: abs(e[:, j]) ** (2 * k),
         complex_valued=False, target=target,
     )
 
@@ -254,6 +281,8 @@ def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> 
     and column sums from b, valid once n reaches both weights; in particular it
     is 0 whenever the two weights differ.
     """
+    import numpy as np
+
     a = tuple(int(v) for v in a)
     b = tuple(int(v) for v in b)
     if len(a) != len(b):
@@ -291,6 +320,8 @@ def truncated_poly_moment_mc(
     """Monte Carlo E|sum_{j<=l} e_j z^(n-j) (-1)^j|^(2k): degree-truncated characteristic
     polynomial at a point on the unit circle; exact target count_pseudomagic(k, l)
     once n >= l*k (the expectation does not depend on z)."""
+    import numpy as np
+
     if not 0 <= l <= n:
         raise ValueError("need 0 <= l <= n")
     if k < 1:

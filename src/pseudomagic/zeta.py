@@ -7,22 +7,27 @@ This module computes that limit exactly, cross-checks it against a direct
 enumeration over pairs of factorization tuples, approximates the time average
 numerically, and compares everything against the arithmetic-factor-times-
 count-polynomial prediction, whose quality improves only logarithmically.
+
+Only the direct integrator needs numpy and a thread pool: ``numeric_moment``
+and its grid kernel import them when they run, so the exact mean values and
+the predictions run without loading numpy.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import inf, log, prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import euler
 from .ehrhart import CountingPolynomial, evaluate_real, pseudomagic_polynomial
 from .errors import BudgetError, check_threads
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TUPLE_BUDGET = 10**8
 DEFAULT_PAIR_BUDGET = 10**6
@@ -126,6 +131,10 @@ def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> F
 
 def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarray:
     """|sum_{n<=x} n^(-1/2) exp(-i t log n)|^(2k) on the given grid, chunked to bound memory."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     n = np.arange(1, x + 1, dtype=np.float64)
     logs = np.log(n)
     amps = (n ** -0.5).astype(np.complex128)
@@ -161,6 +170,8 @@ def numeric_moment(k: int, x: int, t_max: float, steps: int, threads: int = 1):
     (period 2*pi/log(x)) with 20 points.  Refused with BudgetError, before
     any allocation, when steps + 1 or x exceeds MAX_GRID_POINTS.
     """
+    import numpy as np
+
     if k < 1 or x < 1:
         raise ValueError("k and x must be positive")
     if t_max <= 0:

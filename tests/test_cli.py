@@ -286,9 +286,11 @@ class TestExitCodes:
         (["ehrhart", "poly", "--family", "sym-even-bounded", "--k", "5"], "k = 4"),
         (["rmt", "gfactor", "--k", "1000"], "k = 300"),
         (["rmt", "exact", "--n", "10", "--k", "1000"], "k = 300"),
+        (["rmt", "moment", "--j", "1", "--k", "1", "--n", "2440", "--samples", "16384",
+          "--threads", "4"], "5000000000"),
     ], ids=["prime-limit", "haar-n", "secular-n", "mc-buffer", "quadrature-grid",
             "predict-k", "magic-k", "pseudomagic-k", "sym-even-bounded-k", "gfactor-k",
-            "exact-k"])
+            "exact-k", "mc-time"])
     def test_fixed_ceiling_is_3(self, capsys, cmd, limit):
         t0 = time.perf_counter()
         rc, out, err = run_cli(cmd, capsys)
@@ -308,9 +310,84 @@ class TestExitCodes:
         assert rc == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and "counting bug suspected" in err
 
+    @pytest.mark.parametrize("message,line", [("", "error: out of memory\n"),
+                                              ("no room", "error: no room\n")])
+    def test_memory_error_is_3(self, capsys, monkeypatch, message, line):
+        from pseudomagic import counting
+
+        def exhausted(k, j):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(counting, "count_magic", exhausted)
+        rc, out, err = run_cli(["count", "magic", "--k", "3", "--j", "2"], capsys)
+        assert rc == 3 and out == "" and err == line
+
     def test_brute_missing_family_params_is_2(self, capsys):
         rc, _, err = run_cli(["count", "brute", "--family", "magic", "--k", "2"], capsys)
         assert rc == 2 and "--j" in err
+
+
+# The cli-short commands that need no numpy: exact values and two refusals.
+NUMPY_FREE = [
+    ["count", "magic", "--k", "3", "--j", "5"],
+    ["count", "contingency", "--rows", "3,3,3,3", "--cols", "4,4,4"],
+    ["ehrhart", "hvector", "--k", "4"],
+    ["ehrhart", "volume", "--family", "magic", "--k", "4"],
+    ["oracle", "contour", "--k", "2", "--l", "3"],
+    ["zeta", "mv", "--k", "2", "--x", "7"],
+    ["zeta", "pairs", "--k", "2", "--x", "5"],
+    ["rmt", "exact", "--n", "5", "--k", "2"],
+    ["rmt", "gfactor", "--k", "3"],
+    ["count", "magic", "--k", "0", "--j", "1"],
+    ["zeta", "pairs", "--k", "3", "--x", "30"],
+]
+
+_FRESH_RUN = """
+import contextlib, io, json, sys
+from pseudomagic.cli import main
+rows = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    rows.append([rc, out.getvalue(), err.getvalue(), sys.modules.get("numpy") is not None])
+print(json.dumps(rows))
+"""
+
+
+def _fresh(code, *args):
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True)
+    return done.stdout
+
+
+class TestLazyImports:
+    def test_import_loads_no_numpy(self):
+        code = ("import sys, pseudomagic\nfrom pseudomagic import *\n"
+                "print('numpy' in sys.modules)")
+        assert _fresh(code) == "False\n"
+
+    @pytest.mark.parametrize("prelude", ["", "import sys; sys.modules['numpy'] = None"],
+                             ids=["numpy-unloaded", "numpy-blocked"])
+    def test_exact_commands_run_without_numpy(self, capsys, prelude):
+        rows = json.loads(_fresh(prelude + _FRESH_RUN, json.dumps(NUMPY_FREE)))
+        for argv, (rc, out, err, numpy_loaded) in zip(NUMPY_FREE, rows, strict=True):
+            assert not numpy_loaded, argv
+            assert [rc, out, err] == list(run_cli(argv, capsys)), argv
+
+    def test_exports_are_the_submodule_objects(self):
+        import importlib
+
+        import pseudomagic
+
+        for name in pseudomagic.__all__:
+            module = importlib.import_module(f"pseudomagic.{pseudomagic._EXPORTS[name]}")
+            assert getattr(pseudomagic, name) is getattr(module, name), name
+        namespace = {}
+        exec("from pseudomagic import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == pseudomagic.__all__
+        assert set(pseudomagic.__all__) <= set(dir(pseudomagic))
+        assert not hasattr(pseudomagic, "no_such_name")
 
 
 class TestReproducibility:
@@ -337,9 +414,12 @@ class TestReproducibility:
         assert a == b
 
 
-# Every leaf once: its --json metadata keys and, for the exact leaves, its plain
-# and --json stdout bytes.  The values were taken from the implementation that
-# built one argparse handler per leaf, so a rewrite of the front end must keep them.
+# Every leaf once: its --json metadata keys and, where given, its plain and --json
+# stdout bytes.  The exact values were taken from the implementation that built one
+# argparse handler per leaf, so a rewrite of the front end must keep them.  The Monte
+# Carlo, Haar and quadrature leaves are pinned at a fixed (seed, threads) from the
+# front end that imported numpy eagerly, so the numpy-aware serialization and
+# array2string paths cannot drift.
 LEAVES = [
     (["count", "contingency", "--rows", "2,1,1", "--cols", "3,1"], "cols rows", "3\n",
      '{"metadata": {"cols": [3, 1], "rows": [2, 1, 1]}, "value": 3}'),
@@ -385,7 +465,9 @@ LEAVES = [
     (["zeta", "pairs", "--k", "2", "--x", "2"], "k pair_budget x", "13/4\n",
      '{"metadata": {"k": 2, "pair_budget": 1000000, "x": 2}, "value": "13/4"}'),
     (["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10", "--steps", "200"],
-     "k steps t_max threads x", None, None),
+     "k steps t_max threads x", "2.38752002044101 ± 1.11e-05\n",
+     '{"metadata": {"k": 1, "steps": 200, "t_max": 10.0, "threads": 1, "x": 5}, "value": '
+     '{"error": 1.11403717144576e-05, "value": 2.38752002044101}}'),
     (["zeta", "predict", "--k", "1", "--x", "100", "--prime-limit", "100"],
      "j_terms k prime_limit x", None, None),
     (["zeta", "ladder", "--k", "1", "--x-list", "10,100", "--prime-limit", "1000"],
@@ -394,14 +476,40 @@ LEAVES = [
      "j_terms k prime_limit tail_estimate", None, None),
     (["euler", "b", "--k", "2", "--prime-limit", "1000"],
      "j_terms k prime_limit tail_estimate", None, None),
-    (["rmt", "sample", "--n", "3"], "n seed", None, None),
-    (["rmt", "secular", "--n", "4"], "n seed", None, None),
-    (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50"],
-     "j k n seed threads", None, None),
-    (["rmt", "mixed", "--a", "1", "--b", "0", "--n", "3", "--samples", "50"],
-     "a b n seed threads", None, None),
-    (["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "50"],
-     "k l n seed threads z_angle", None, None),
+    (["rmt", "sample", "--n", "3", "--seed", "1"], "n seed",
+     "[[ 0.17786555+0.44213956j -0.35025609+0.46671548j  0.15667513+0.6386131j ]\n"
+     " [-0.15603843+0.70461846j  0.49134181+0.26629122j -0.27495931-0.30205036j]\n"
+     " [ 0.19096484+0.46429917j -0.46933437-0.35622295j  0.41906094-0.47452829j]]\n",
+     '{"metadata": {"n": 3, "seed": 1}, "value": [[[0.177865551621191, 0.442139556831206], '
+     '[-0.350256092076417, 0.466715483187722], [0.156675134462071, 0.638613097101127]], '
+     '[[-0.156038433802469, 0.704618461355355], [0.491341813679874, 0.26629121526052], '
+     '[-0.274959311641996, -0.302050358119125]], [[0.190964844719491, 0.464299167570371], '
+     '[-0.469334368737988, -0.356222948225364], [0.419060942509504, -0.474528291060408]]]}'),
+    (["rmt", "secular", "--n", "4", "--seed", "2"], "n seed",
+     "0 +1.000000000000e+00 +0.000000000000e+00\n1 -1.225580232946e-01 +1.447234909320e-01\n"
+     "2 -9.786388328479e-01 +6.042279190565e-01\n3 -1.842942884456e-01 +4.473223834950e-02\n"
+     "4 +4.480127251726e-01 -8.940271797230e-01\n",
+     '{"metadata": {"n": 4, "seed": 2}, "value": [[1.0, 0.0], [-0.122558023294568, '
+     '0.144723490932043], [-0.978638832847854, 0.604227919056464], [-0.184294288445605, '
+     '0.0447322383495021], [0.448012725172631, -0.894027179722962]]}'),
+    (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "3",
+      "--threads", "2"], "j k n seed threads",
+     "mean=1.2047582683805 stderr=0.175159 samples=50 target=1 z=1.17\n",
+     '{"metadata": {"j": 1, "k": 1, "n": 3, "seed": 3, "threads": 2}, "value": {"mean": '
+     '1.2047582683805, "samples": 50, "stderr": 0.175159398498035, "target": 1, "z": '
+     '1.16898248187805}}'),
+    (["rmt", "mixed", "--a", "1", "--b", "0", "--n", "3", "--samples", "50", "--seed", "4"],
+     "a b n seed threads",
+     "mean=-0.165938952317071-0.0492549949033197j stderr=0.145435 samples=50 target=0 z=1.19\n",
+     '{"metadata": {"a": [1], "b": [0], "n": 3, "seed": 4, "threads": 1}, "value": {"mean": '
+     '[-0.165938952317071, -0.0492549949033197], "samples": 50, "stderr": 0.145434563611511, '
+     '"target": 0, "z": 1.1901898679056}}'),
+    (["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "5",
+      "--z-angle", "0.5"], "k l n seed threads z_angle",
+     "mean=1.67992761154639 stderr=0.272328 samples=50 target=2 z=1.18\n",
+     '{"metadata": {"k": 1, "l": 1, "n": 3, "seed": 5, "threads": 1, "z_angle": 0.5}, "value": '
+     '{"mean": 1.67992761154639, "samples": 50, "stderr": 0.272328191537805, "target": 2, "z": '
+     '1.17531859865921}}'),
     (["rmt", "exact", "--n", "20", "--k", "2"], "k n", "19481\n",
      '{"metadata": {"k": 2, "n": 20}, "value": "19481"}'),
     (["rmt", "gfactor", "--k", "2"], "k", "1/12\n",
