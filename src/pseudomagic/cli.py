@@ -13,7 +13,7 @@ are canonicalized to 15 significant digits before serialization so that the
 emitted JSON re-serializes byte-identically after a parse round trip.  Exit
 codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
 domain error, 3 resource-budget refusal or exhausted memory.  Each error is one
-stderr line.
+stderr line, and so is each warning the library raises ("warning: ...").
 
 numpy is imported only by the handlers that compute with it (the Monte Carlo,
 Haar and quadrature rows), so an exact command never loads it.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -289,9 +290,11 @@ COMMANDS = [
     C("ehrhart", "poly", "reconstruct the count polynomial", "family.poly k", "family k", _poly),
     C("ehrhart", "hvector", "numerator vector of the count series", "family.hvector k",
       "family k", _hvector),
-    C("ehrhart", "zeros", "check the trivial negative zeros", "k", "k",
+    C("ehrhart", "zeros", "confirm the trivial negative zeros that the fit imposes "
+      "(a wrong count exits 1 first)", "k", "k",
       lambda a: ehrhart.check_trivial_zeros(ehrhart.magic_polynomial(a.k), a.k)),
-    C("ehrhart", "reciprocity", "check the reflection identity", "k", "k",
+    C("ehrhart", "reciprocity", "confirm the reflection identity that the fit imposes "
+      "(a wrong count exits 1 first)", "k", "k",
       lambda a: ehrhart.check_reciprocity(ehrhart.magic_polynomial(a.k), a.k)),
     C("ehrhart", "volume", "polytope volume from the leading coefficient", "family.volume k",
       "family k", lambda a: ehrhart.substochastic_volume(a.k) if a.family == "pseudomagic"
@@ -375,6 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
+def _call(cmd: Command, args):
+    """Run a handler, printing each warning it raises as one stderr line, before any error line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            return cmd.handler(args)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(10**7)
@@ -384,7 +398,7 @@ def main(argv=None) -> int:
     if cmd.budget:
         setattr(args, cmd.budget, _BUDGETS[cmd.budget] if args.budget is None else args.budget)
     try:
-        out = cmd.handler(args)
+        out = _call(cmd, args)
     except (BudgetError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

@@ -1,22 +1,25 @@
 """Exact polynomial reconstruction of the lattice-count families, and volumes.
 
 The magic-square count H_k(j) in dimension k is a polynomial of degree
-(k-1)^2, the bounded-sum count G_k(l) a polynomial of degree k^2; both facts
-are theorems.  Ehrhart-Macdonald reciprocity (Stanley's theorem for linear
-Diophantine systems) adds, for a polynomial p of degree d with z trivial
-zeros, the zeros p(-1) = ... = p(-z) = 0 and the reflection
-p(-(z+1)-x) = (-1)^d p(x): z = k-1 for H_k and z = k for G_k.  So each
-polynomial is fitted from real counts at x = 0..m-1 only, with
-m = ceil((d+1-z)/2), together with the m mirrored points and the z zeros
-(2m+z >= d+1 points).  Two more real counts, at m and m+1, which the fit
-did not use, verify it.  A mismatch raises RuntimeError: it can only mean
-a counting bug.
+(k-1)^2 and the bounded-sum count G_k(l) one of degree k^2; both facts are
+theorems.  The symmetric even-diagonal bounded count is a period-2
+quasi-polynomial q of degree d = k(k+1)/2 (the 1x1 case is floor(l/2)+1): it
+counts the lattice points of the l-th dilate of the rational polytope
+{y_ii, x_ij >= 0 : 2 y_ii + sum_{j != i} x_ij <= 1}, y_ii being half the even
+diagonal entry.
 
-The symmetric even-diagonal bounded family is not a polynomial (the 1x1 case
-is floor(l/2)+1), so it is reconstructed as a period-2 quasi-polynomial: one
-polynomial per parity class, each fitted from real counts at its first d+1
-nodes and verified at two more, with leading-coefficient agreement reported.
-No reflection law is proven for it, so it uses no mirrored points.
+Ehrhart-Macdonald reciprocity gives each family of degree d its z trivial
+zeros q(-1) = ... = q(-z) = 0 and the reflection q(-(z+1)-x) = (-1)^d q(x):
+z = k-1 for H_k and z = k for G_k (Stanley's theorem for linear Diophantine
+systems), and z = k+1 for the symmetric family, whose interior points of the
+l-th dilate, shifted by 1 in every coordinate, are the points of the
+(l-k-2)-th dilate.  So one fit serves all three.  Each residue class of the
+argument keeps a pool, filled with the zeros and then with the real counts at
+x = 0, 1, ... and their mirrors (a mirror may land in another class), until
+every pool holds d+1 points; for H_k and G_k that is the counts at x = 0..m-1,
+m = ceil((d+1-z)/2).  Two more real counts per class, which the fit did not
+use, verify it.  A mismatch raises RuntimeError: it can only mean a counting
+bug.
 
 Fixed ceilings on k (MAX_MAGIC_K, MAX_PSEUDOMAGIC_K, MAX_SYM_EVEN_BOUNDED_K)
 refuse, with BudgetError before the first count, the sizes whose counts
@@ -37,12 +40,13 @@ from math import comb
 from . import counting
 from .errors import BudgetError
 
-# Largest k each builder accepts.  The next size ran past 25 s with no
-# result on 2 Xeon CPUs; at the ceilings, magic k=6 takes 14-16 s,
-# pseudomagic k=4 about 1 s and sym-even-bounded k=4 about 2 s.
+# Largest k each builder accepts.  At the ceilings, magic k=6 takes 14-16 s
+# (2 Xeon CPUs), pseudomagic k=4 about 1 s and sym-even-bounded k=5 0.65 s
+# (2 AMD EPYC CPUs).  The next sizes ran past 25 s with no result on 2 Xeon
+# CPUs, and sym-even-bounded k=6 took 68.5 s on 2 AMD EPYC CPUs.
 MAX_MAGIC_K = 6
 MAX_PSEUDOMAGIC_K = 4
-MAX_SYM_EVEN_BOUNDED_K = 4
+MAX_SYM_EVEN_BOUNDED_K = 5
 
 
 @dataclass(frozen=True)
@@ -149,40 +153,32 @@ def interpolate(values, degree: int) -> CountingPolynomial:
     return poly
 
 
-def _verify(poly: CountingPolynomial, points) -> None:
-    for x, y in points:
-        if poly(x) != y:
-            raise RuntimeError(
-                f"polynomial verification failed at {x}: counting bug suspected"
-            )
+def _reciprocal_family(counter, degree: int, zeros: int, period: int = 1) -> list:
+    """Constituents p_0..p_{period-1} of the quasi-polynomial q with q(-1..-zeros) = 0
+    and q(-(zeros+1)-x) = (-1)^degree q(x); p_r agrees with q on x = r mod period.
 
-
-def _interpolate_family(counter, degree: int, nodes) -> CountingPolynomial:
-    nodes = list(nodes)
-    poly = interpolate([(x, counter(x)) for x in nodes[: degree + 1]], degree)
-    _verify(poly, ((x, counter(x)) for x in nodes[degree + 1:]))
-    return poly
-
-
-def _reciprocal_family(counter, degree: int, zeros: int) -> CountingPolynomial:
-    """Polynomial of the given degree with p(-1..-zeros) = 0 and p(-(zeros+1)-x) = (-1)^degree p(x).
-
-    Fitted from real counts at 0..m-1, their mirrors and the zeros; verified
-    at the real counts at m and m+1.
+    Each residue class fills one pool of points: the zeros, then the real
+    counts at x = 0, 1, ... with their mirrors, each point in its own class,
+    until every class holds degree+1.  Each class is fitted from its first
+    degree+1 points, checked at its spare points, and verified at its next two
+    real counts.
     """
-    m = max(1, -(-(degree + 1 - zeros) // 2))
     sign = -1 if degree % 2 else 1
-    points = [(-i, 0) for i in range(1, zeros + 1)]
-    for x in range(m):
-        y = counter(x)
-        points += [(x, y), (-(zeros + 1) - x, sign * y)]
-    # For H_k and G_k, degree + 1 - zeros is odd, so there is one point more
-    # than the fit needs: the mirror of m-1.  It is not checked, since the fit
-    # through reflection-symmetric data is itself symmetric and passes it
-    # whatever the counts are; only real counts can expose a counting bug.
-    poly = interpolate(points[: degree + 1], degree)
-    _verify(poly, ((x, counter(x)) for x in (m, m + 1)))
-    return poly
+    pools = [[] for _ in range(period)]
+    for i in range(1, zeros + 1):
+        pools[-i % period].append((-i, 0))
+    x = 0
+    while min(map(len, pools)) < degree + 1:
+        y, mirror = counter(x), -(zeros + 1) - x
+        pools[x % period].append((x, y))
+        pools[mirror % period].append((mirror, sign * y))
+        x += 1
+    polys = [interpolate(pool[: degree + 1], degree) for pool in pools]
+    spares = [point for pool in pools for point in pool[degree + 1:]]
+    for t, y in spares + [(t, counter(t)) for t in range(x, x + 2 * period)]:
+        if polys[t % period](t) != y:
+            raise RuntimeError(f"polynomial verification failed at {t}: counting bug suspected")
+    return polys
 
 
 def _check_k(k: int, ceiling: int, family: str) -> None:
@@ -200,7 +196,7 @@ def magic_polynomial(k: int) -> CountingPolynomial:
     real counts at j = m and m+1.  Refused with BudgetError above MAX_MAGIC_K.
     """
     _check_k(k, MAX_MAGIC_K, "magic")
-    return _reciprocal_family(lambda j: counting.count_magic(k, j), (k - 1) ** 2, k - 1)
+    return _reciprocal_family(lambda j: counting.count_magic(k, j), (k - 1) ** 2, k - 1)[0]
 
 
 def pseudomagic_polynomial(k: int) -> CountingPolynomial:
@@ -212,24 +208,20 @@ def pseudomagic_polynomial(k: int) -> CountingPolynomial:
     MAX_PSEUDOMAGIC_K.
     """
     _check_k(k, MAX_PSEUDOMAGIC_K, "pseudomagic")
-    return _reciprocal_family(lambda l: counting.count_pseudomagic(k, l), k * k, k)
+    return _reciprocal_family(lambda l: counting.count_pseudomagic(k, l), k * k, k)[0]
 
 
 def symmetric_even_bounded_polynomials(k: int) -> ParityPolynomials:
     """Per-parity polynomials of the symmetric even-diagonal bounded count (period-2 quasi-polynomial).
 
-    Refused with BudgetError above MAX_SYM_EVEN_BOUNDED_K."""
+    Both have degree d = k(k+1)/2.  Fitted, one pool per parity, from the
+    zeros at -1..-(k+1), the counts at l = 0, 1, ... and their mirrors
+    q(-(k+2)-l) = (-1)^d q(l); verified by two more real counts of each
+    parity.  Refused with BudgetError above MAX_SYM_EVEN_BOUNDED_K.
+    """
     _check_k(k, MAX_SYM_EVEN_BOUNDED_K, "sym-even-bounded")
-    d = k * (k + 1) // 2
-    even = _interpolate_family(
-        lambda l: counting.count_symmetric_even_bounded(k, l),
-        d,
-        [2 * t for t in range(d + 3)],
-    )
-    odd = _interpolate_family(
-        lambda l: counting.count_symmetric_even_bounded(k, l),
-        d,
-        [2 * t + 1 for t in range(d + 3)],
+    even, odd = _reciprocal_family(
+        lambda l: counting.count_symmetric_even_bounded(k, l), k * (k + 1) // 2, k + 1, period=2
     )
     return ParityPolynomials(even, odd)
 

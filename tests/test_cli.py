@@ -106,6 +106,21 @@ class TestBroadCoverage:
         assert rc == 0
         assert json.loads(out)["value"] == {"error": 0.0, "value": 1.0}
 
+    @pytest.mark.filterwarnings("error")  # the CLI must not pass the warning on
+    @pytest.mark.parametrize("mode,stdout", [
+        ([], "2.29179083695393 ± 0.0387\n"),
+        (["--json"], '{"command": "--json zeta integrate --k 1 --x 5 --t-max 100 --steps 20", '
+         '"metadata": {"k": 1, "steps": 20, "t_max": 100.0, "threads": 1, "x": 5}, '
+         '"value": {"error": 0.0387490030435949, "value": 2.29179083695393}}\n'),
+    ], ids=["plain", "json"])
+    def test_integrate_aliasing_warning_is_one_line(self, capsys, mode, stdout):
+        args = mode + ["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "100", "--steps", "20"]
+        for _ in range(2):  # a repeated call warns again
+            rc, out, err = run_cli(args, capsys)
+            assert rc == 0 and out == stdout
+            assert err == ("warning: steps=20 below the oscillation-resolving 512; "
+                           "the quadrature may alias\n")
+
     def test_predict(self, capsys):
         rc, out, _ = run_cli(
             ["--json", "zeta", "predict", "--k", "1", "--x", "100", "--prime-limit", "100"],
@@ -283,7 +298,7 @@ class TestExitCodes:
         (["zeta", "predict", "--x", "1000", "--k", "5", "--prime-limit", "50"], "k = 4"),
         (["ehrhart", "poly", "--family", "magic", "--k", "7"], "k = 6"),
         (["ehrhart", "poly", "--family", "pseudomagic", "--k", "5"], "k = 4"),
-        (["ehrhart", "poly", "--family", "sym-even-bounded", "--k", "5"], "k = 4"),
+        (["ehrhart", "poly", "--family", "sym-even-bounded", "--k", "6"], "k = 5"),
         (["rmt", "gfactor", "--k", "1000"], "k = 300"),
         (["rmt", "exact", "--n", "10", "--k", "1000"], "k = 300"),
         (["rmt", "moment", "--j", "1", "--k", "1", "--n", "2440", "--samples", "16384",

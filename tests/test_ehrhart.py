@@ -15,7 +15,7 @@ from pseudomagic.ehrhart import (
     MAX_PSEUDOMAGIC_K,
     MAX_SYM_EVEN_BOUNDED_K,
     CountingPolynomial,
-    _interpolate_family,
+    ParityPolynomials,
     birkhoff_volume,
     check_reciprocity,
     check_trivial_zeros,
@@ -29,11 +29,13 @@ from pseudomagic.ehrhart import (
 )
 from pseudomagic.errors import BudgetError
 
-# (builder, counting-function name, degree, trivial zeros) of the two families
-# that are rebuilt from half their nodes by reciprocity
+# (builder, counting-function name, degree, trivial zeros, period) of the three
+# families, each rebuilt from about half its nodes by reciprocity
 FAMILIES = {
-    "magic": (magic_polynomial, "count_magic", lambda k: (k - 1) ** 2, lambda k: k - 1),
-    "pseudomagic": (pseudomagic_polynomial, "count_pseudomagic", lambda k: k * k, lambda k: k),
+    "magic": (magic_polynomial, "count_magic", lambda k: (k - 1) ** 2, lambda k: k - 1, 1),
+    "pseudomagic": (pseudomagic_polynomial, "count_pseudomagic", lambda k: k * k, lambda k: k, 1),
+    "sym-even-bounded": (symmetric_even_bounded_polynomials, "count_symmetric_even_bounded",
+                         lambda k: k * (k + 1) // 2, lambda k: k + 1, 2),
 }
 
 
@@ -223,26 +225,62 @@ class TestParityPolynomials:
         assert symmetric_even_bounded_polynomials(2).even.leading_coefficient == F(1, 12)
 
 
+def _counted_nodes(degree, zeros, period):
+    """The real counts a builder makes: its fitting nodes, then two verification nodes per class."""
+    sizes = [0] * period
+    for i in range(1, zeros + 1):
+        sizes[-i % period] += 1
+    x = 0
+    while min(sizes) < degree + 1:
+        sizes[x % period] += 1
+        sizes[(-(zeros + 1) - x) % period] += 1
+        x += 1
+    return range(x + 2 * period)
+
+
 def _corrupted_nodes():
-    """Every fitting node 0..m-1 and both verification nodes m, m+1 of each small polynomial."""
-    for family, ks in (("magic", (1, 2, 3, 4)), ("pseudomagic", (1, 2, 3))):
-        _, _, degree, zeros = FAMILIES[family]
+    """Every node counted for each small polynomial or quasi-polynomial."""
+    for family, ks in (("magic", (1, 2, 3, 4)), ("pseudomagic", (1, 2, 3)),
+                       ("sym-even-bounded", (1, 2, 3, 4))):
+        _, _, degree, zeros, period = FAMILIES[family]
         for k in ks:
-            m = max(1, -(-(degree(k) + 1 - zeros(k)) // 2))
-            for x in range(m + 2):
+            for x in _counted_nodes(degree(k), zeros(k), period):
                 yield family, k, x
 
 
+def _plain_route(counter, degree, period):
+    """One polynomial per residue class from d+3 real counts each; interpolate checks the extra two."""
+    return [interpolate([(x, counter(x)) for x in range(r, r + period * (degree + 3), period)], degree)
+            for r in range(period)]
+
+
 class TestReciprocalReconstruction:
-    """The builders fit half their nodes by reciprocity; the plain route counts every node."""
+    """The builders fit about half their nodes by reciprocity; the plain route counts every node."""
 
     @pytest.mark.parametrize("family,k", [("magic", k) for k in (1, 2, 3, 4)]
-                             + [("pseudomagic", k) for k in (1, 2, 3)])
+                             + [("pseudomagic", k) for k in (1, 2, 3)]
+                             + [("sym-even-bounded", k) for k in (1, 2, 3, 4)])
     def test_equals_plain_route(self, family, k):
-        build, name, degree, _ = FAMILIES[family]
-        d = degree(k)
+        build, name, degree, _, period = FAMILIES[family]
         counter = getattr(counting, name)
-        assert build(k) == _interpolate_family(lambda x: counter(k, x), d, range(d + 3))
+        plain = _plain_route(lambda x: counter(k, x), degree(k), period)
+        assert build(k) == (ParityPolynomials(*plain) if period == 2 else plain[0])
+
+    def test_one_class_counts_up_to_m_plus_1(self):
+        # H_k and G_k count x = 0..m-1 to fit, m = ceil((d+1-z)/2), and m, m+1 to verify
+        for family, ks in (("magic", range(1, 7)), ("pseudomagic", range(1, 5))):
+            _, _, degree, zeros, _ = FAMILIES[family]
+            for k in ks:
+                m = max(1, -(-(degree(k) + 1 - zeros(k)) // 2))
+                assert _counted_nodes(degree(k), zeros(k), 1) == range(m + 2)
+
+    @pytest.mark.parametrize("family,k", [(f, k) for f in FAMILIES for k in (1, 2, 3, 4)])
+    def test_counts_exactly_its_nodes(self, monkeypatch, family, k):
+        build, name, degree, zeros, period = FAMILIES[family]
+        true, seen = getattr(counting, name), []
+        monkeypatch.setattr(counting, name, lambda k_, x: seen.append(x) or true(k_, x))
+        build(k)
+        assert sorted(seen) == list(_counted_nodes(degree(k), zeros(k), period))
 
     def test_pseudomagic_4_beyond_its_nodes(self):
         # built from l <= 7; l = 9 and 10 are counted independently
@@ -252,11 +290,29 @@ class TestReciprocalReconstruction:
     @pytest.mark.parametrize("family,k,bad", list(_corrupted_nodes()))
     @pytest.mark.parametrize("delta", [1, -1])
     def test_off_by_one_count_is_a_runtime_error(self, monkeypatch, family, k, bad, delta):
-        build, name, _, _ = FAMILIES[family]
+        build, name, _, _, _ = FAMILIES[family]
         true = getattr(counting, name)
         monkeypatch.setattr(counting, name, lambda k_, x: true(k_, x) + (delta if x == bad else 0))
         with pytest.raises(RuntimeError, match="counting bug suspected"):
             build(k)
+
+
+class TestSymmetricReciprocity:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reflection_and_zeros(self, k):
+        # q(-(k+2)-x) = (-1)^d q(x) and q(-1..-(k+1)) = 0, on [-3d-10, 3d+10]
+        q, d = symmetric_even_bounded_polynomials(k), k * (k + 1) // 2
+        for x in range(-3 * d - 10, 3 * d + 11):
+            assert q(-(k + 2) - x) == (-1) ** d * q(x)
+        assert [q(-i) for i in range(1, k + 2)] == [0] * (k + 1)
+        assert abs(q(-(k + 2))) == 1
+
+    def test_k5_pinned(self):
+        # built from l <= 16; l = 17 and 18 are counted independently
+        q = symmetric_even_bounded_polynomials(5)
+        assert q.leading_coefficients_agree and q.even.degree == 15
+        assert q.even.leading_coefficient == F(5222023, 535623421132800)
+        assert [q(l) for l in (17, 18)] == [count_symmetric_even_bounded(5, l) for l in (17, 18)]
 
 
 class TestCeilings:
