@@ -18,15 +18,15 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "counting": "MatrixCountSpec Partition SumConstraint brute_force_count count_contingency "
-        "count_magic count_pseudomagic count_pseudomagic_multi count_symmetric_even "
+        "counting": "MatrixCountSpec brute_force_count count_contingency count_magic "
+        "count_pseudomagic count_pseudomagic_multi count_symmetric_even "
         "count_symmetric_even_bounded",
         "ehrhart": "CountingPolynomial HVector birkhoff_volume check_reciprocity "
         "check_trivial_zeros h_vector interpolate magic_polynomial pseudomagic_polynomial "
         "substochastic_volume symmetric_even_bounded_polynomials",
         "errors": "BudgetError",
         "euler": "EulerFactorResult arithmetic_factor_a arithmetic_factor_b dk_prime_power",
-        "genfun": "TruncatedMultiSeries contour_coefficient expansion_count master_series",
+        "genfun": "contour_coefficient expansion_count master_series",
         "rmt": "MomentEstimate full_poly_moment_exact g_factor haar_unitary mixed_moment_mc "
         "secular_abs_moment_mc secular_coefficients truncated_poly_moment_mc",
         "zeta": "DivisorProfile convergence_ladder divisor_profile mv_pseudomoment "

@@ -12,8 +12,9 @@ serialized losslessly (integers natively, rationals as "p/q" strings); floats
 are canonicalized to 15 significant digits before serialization so that the
 emitted JSON re-serializes byte-identically after a parse round trip.  Exit
 codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
-domain error, 3 resource-budget refusal or exhausted memory.  Each error is one
-stderr line, and so is each warning the library raises ("warning: ...").
+domain error or an unwritable --out path, 3 resource-budget refusal, exhausted
+memory or a size past the machine's index range (an OverflowError).  Each error
+is one stderr line, and so is each warning the library raises ("warning: ...").
 
 numpy is imported only by the handlers that compute with it (the Monte Carlo,
 Haar and quadrature rows), so an exact command never loads it.
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
         setattr(args, cmd.budget, _BUDGETS[cmd.budget] if args.budget is None else args.budget)
     try:
         out = _call(cmd, args)
-    except (BudgetError, MemoryError) as exc:
+    except (BudgetError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
@@ -420,8 +421,12 @@ def main(argv=None) -> int:
     }
     text = json.dumps(doc, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     if args.json:
         print(text)
     else:

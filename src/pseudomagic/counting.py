@@ -4,7 +4,8 @@ Counts contingency tables (prescribed row and column sums), magic squares
 (every row and column summing to exactly j), pseudomagic squares (row and
 column sums at most l, including per-line bound vectors), and symmetric
 variants with even diagonal entries.  Everything returns arbitrary-precision
-integers; there is no fixed-width fast path.
+integers; there is no fixed-width fast path.  A line-sum prescription is a
+plain tuple, sorted decreasing with its zero parts dropped.
 
 One non-recursive allocation step spreads a line sum over rows and tallies
 the sorted multiset of leftover capacities, a sound state because rows with
@@ -15,152 +16,98 @@ symmetric even-diagonal matrices, where the diagonal absorbs any shortfall.
 
 ``brute_force_count`` enumerates matrices entry by entry with running-sum
 pruning and no memoization; it is the independent oracle the test suite
-checks every DP counter against.
+checks every DP counter against.  Its input, a ``MatrixCountSpec``, is four
+plain fields: the row limits, the column limits, whether every line sum is
+exact (else at most its limit), and whether the matrix is symmetric with an
+even diagonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError
 
 DEFAULT_GRID_BUDGET = 10**7
 
 
-class Partition:
-    """Weakly decreasing tuple of positive integers (line-sum prescription).
+def _parts(parts) -> tuple:
+    """A line-sum prescription as a decreasing tuple of positive integers.
 
     Accepts any iterable of nonnegative integers; zero parts are dropped and
     the rest sorted decreasing, so callers may pass unsorted compositions.
     """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        cleaned = []
-        for p in parts:
-            q = int(p)
-            if q < 0:
-                raise ValueError(f"partition parts must be nonnegative, got {p}")
-            if q:
-                cleaned.append(q)
-        cleaned.sort(reverse=True)
-        self.parts = tuple(cleaned)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
+    cleaned = []
+    for p in parts:
+        q = int(p)
+        if q < 0:
+            raise ValueError(f"partition parts must be nonnegative, got {p}")
+        if q:
+            cleaned.append(q)
+    cleaned.sort(reverse=True)
+    return tuple(cleaned)
 
 
-@dataclass(frozen=True)
-class SumConstraint:
-    """One line-sum constraint: the sum is exactly ``bound`` or at most ``bound``."""
-
-    kind: str  # "exact" or "atmost"
-    bound: int
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "atmost"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.bound < 0:
-            raise ValueError("constraint bound must be nonnegative")
-
-
-def exact_sum(value: int) -> SumConstraint:
-    return SumConstraint("exact", value)
-
-
-def sum_at_most(value: int) -> SumConstraint:
-    return SumConstraint("atmost", value)
-
-
-@dataclass(frozen=True)
-class MatrixCountSpec:
+class MatrixCountSpec(NamedTuple):
     """Full description of one matrix-counting problem.
 
-    ``row_constraints[i]`` governs the sum of row i, ``col_constraints[j]``
-    the sum of column j.  ``symmetric`` restricts to symmetric matrices
-    (requires a square shape); ``even_diagonal`` restricts diagonal entries
-    to even values.
+    ``rows[i]`` limits the sum of row i and ``cols[j]`` the sum of column j:
+    every line sums to exactly its limit when ``exact``, else to at most it.
+    ``symmetric`` restricts to symmetric matrices with even diagonal entries
+    (requires as many rows as columns).
     """
 
-    rows: int
-    cols: int
-    row_constraints: tuple
-    col_constraints: tuple
+    rows: tuple
+    cols: tuple
+    exact: bool
     symmetric: bool = False
-    even_diagonal: bool = False
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix shape must be positive")
-        if len(self.row_constraints) != self.rows:
-            raise ValueError("need one constraint per row")
-        if len(self.col_constraints) != self.cols:
-            raise ValueError("need one constraint per column")
-        if self.symmetric and self.rows != self.cols:
-            raise ValueError("symmetric spec requires a square matrix")
+
+_NEGATIVE = "constraint bound must be nonnegative"
+
+
+def _checked(spec: MatrixCountSpec) -> MatrixCountSpec:
+    if any(b < 0 for b in spec.rows) or any(b < 0 for b in spec.cols):
+        raise ValueError(_NEGATIVE)
+    if not spec.rows or not spec.cols:
+        raise ValueError("matrix shape must be positive")
+    if spec.symmetric and len(spec.rows) != len(spec.cols):
+        raise ValueError("symmetric spec requires a square matrix")
+    return spec
 
 
 #### spec constructors for the named families ####
 
 
 def contingency_spec(rows, cols) -> MatrixCountSpec:
-    mu, nu = Partition(rows), Partition(cols)
-    rp = mu.parts or (0,)
-    cp = nu.parts or (0,)
-    return MatrixCountSpec(
-        rows=len(rp),
-        cols=len(cp),
-        row_constraints=tuple(exact_sum(p) for p in rp),
-        col_constraints=tuple(exact_sum(p) for p in cp),
-    )
+    return MatrixCountSpec(_parts(rows) or (0,), _parts(cols) or (0,), exact=True)
+
+
+def _uniform(k: int, limit: int, exact: bool, symmetric: bool = False) -> MatrixCountSpec:
+    if limit < 0:  # checked first, even when k < 1 leaves no line to carry it
+        raise ValueError(_NEGATIVE)
+    return _checked(MatrixCountSpec((limit,) * k, (limit,) * k, exact, symmetric))
 
 
 def magic_spec(k: int, j: int) -> MatrixCountSpec:
-    return MatrixCountSpec(k, k, (exact_sum(j),) * k, (exact_sum(j),) * k)
+    return _uniform(k, j, exact=True)
 
 
 def pseudomagic_spec(k: int, l: int) -> MatrixCountSpec:
-    return MatrixCountSpec(k, k, (sum_at_most(l),) * k, (sum_at_most(l),) * k)
+    return _uniform(k, l, exact=False)
 
 
 def pseudomagic_multi_spec(bounds) -> MatrixCountSpec:
     bounds = tuple(int(b) for b in bounds)
-    k = len(bounds)
-    cons = tuple(sum_at_most(b) for b in bounds)
-    return MatrixCountSpec(k, k, cons, cons)
+    return _checked(MatrixCountSpec(bounds, bounds, exact=False))
 
 
 def symmetric_even_spec(k: int, j: int) -> MatrixCountSpec:
-    return MatrixCountSpec(
-        k, k, (exact_sum(j),) * k, (exact_sum(j),) * k,
-        symmetric=True, even_diagonal=True,
-    )
+    return _uniform(k, j, exact=True, symmetric=True)
 
 
 def symmetric_even_bounded_spec(k: int, l: int) -> MatrixCountSpec:
-    return MatrixCountSpec(
-        k, k, (sum_at_most(l),) * k, (sum_at_most(l),) * k,
-        symmetric=True, even_diagonal=True,
-    )
+    return _uniform(k, l, exact=False, symmetric=True)
 
 
 #### dynamic-programming kernels ####
@@ -200,7 +147,7 @@ def _place(caps, t, weight, out):
 
 def _count_tables(rows, cols) -> int:
     """Contingency tables by a forward DP, column by column, over sorted leftover row capacities."""
-    rows, cols = Partition(rows).parts, Partition(cols).parts
+    rows, cols = _parts(rows), _parts(cols)
     if sum(rows) != sum(cols):
         return 0
     layer = {rows: 1}
@@ -220,7 +167,7 @@ def _count_symmetric(margins, diagonal_ways) -> int:
     which fixes the mirrored column entries too, and ``diagonal_ways(r - s)``
     counts the diagonal entries that the remainder admits.
     """
-    layer, done = {Partition(margins).parts: 1}, 0
+    layer, done = {_parts(margins): 1}, 0
     while layer:
         done += layer.pop((), 0)
         nxt = {}
@@ -316,33 +263,28 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
     running-sum pruning, no canonicalization, no memoization, and no
     recursion, so a budget that admits a deep grid cannot exhaust the stack.
     Refuses with BudgetError when the raw grid (product of per-entry ranges)
-    exceeds ``explosion_cap``.
+    exceeds ``explosion_cap``, and with ValueError when ``spec`` is empty,
+    has a negative line sum, or is symmetric with unequal line counts.
     """
-    m, n = spec.rows, spec.cols
-    row_lim = [c.bound for c in spec.row_constraints]
-    col_lim = [c.bound for c in spec.col_constraints]
-    row_exact = [c.kind == "exact" for c in spec.row_constraints]
-    col_exact = [c.kind == "exact" for c in spec.col_constraints]
+    row_lim, col_lim, exact, sym = _checked(spec)
+    m, n = len(row_lim), len(col_lim)
 
-    if spec.symmetric:
-        entries = [(i, jj) for i in range(m) for jj in range(i, n)]
-    else:
-        entries = [(i, jj) for i in range(m) for jj in range(n)]
-
-    def entry_bound(i, jj):
-        b = min(row_lim[i], col_lim[jj])
-        if spec.symmetric and i != jj:
-            b = min(b, row_lim[jj], col_lim[i])
-        return b
+    def walk():  # (row, column, largest value) of each entry, lazily
+        for i in range(m):
+            for jj in range(i if sym else 0, n):
+                b = min(row_lim[i], col_lim[jj])
+                yield i, jj, min(b, row_lim[jj], col_lim[i]) if sym and i != jj else b
 
     grid = 1
-    for (i, jj) in entries:
-        grid *= entry_bound(i, jj) + 1
+    for _, _, b in walk():  # before any list of entries exists
+        grid *= b + 1
         if grid > explosion_cap:
             raise BudgetError(
                 f"brute-force grid exceeds explosion cap {explosion_cap}"
             )
+    entries = list(walk())
 
+    target = list(col_lim)
     rsum = [0] * m
     csum = [0] * n
     last = len(entries) - 1
@@ -350,8 +292,8 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
     val = [-1] * len(entries)  # value at each entry; -1 before its first try
     pos = 0  # depth is an index, not a stack frame
     while pos >= 0:
-        i, jj = entries[pos]
-        mirror = spec.symmetric and i != jj
+        i, jj, b = entries[pos]
+        mirror = sym and i != jj
         v = val[pos]
         if v < 0:
             v = 0
@@ -361,10 +303,10 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
             if mirror:
                 rsum[jj] -= v
                 csum[i] -= v
-            v += 2 if (spec.even_diagonal and i == jj) else 1
+            v += 2 if (sym and i == jj) else 1
         # every limit only tightens as v grows, so the first miss ends this entry
         if (
-            v > entry_bound(i, jj)
+            v > b
             or rsum[i] + v > row_lim[i]
             or csum[jj] + v > col_lim[jj]
             or (mirror and (rsum[jj] + v > row_lim[jj] or csum[i] + v > col_lim[i]))
@@ -378,12 +320,10 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
         if mirror:
             rsum[jj] += v
             csum[i] += v
-        if jj == n - 1 and row_exact[i] and rsum[i] != row_lim[i]:
+        if jj == n - 1 and exact and rsum[i] != row_lim[i]:
             continue  # row i is complete but missed its exact sum
         if pos < last:
             pos += 1
-        elif all((not col_exact[t]) or csum[t] == col_lim[t] for t in range(n)) and all(
-            (not row_exact[t]) or rsum[t] == row_lim[t] for t in range(m)
-        ):
+        elif not exact or csum == target:  # every row was checked as it completed
             count += 1
     return count

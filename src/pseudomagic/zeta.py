@@ -16,6 +16,7 @@ the predictions run without loading numpy.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -74,13 +75,20 @@ def _normalize_bounds(k: int, bounds) -> tuple:
     return bounds
 
 
+def _factored(bounds) -> str:
+    """The product of ``bounds`` as powers of its distinct factors, such as 2^3*5."""
+    return "*".join(f"{b}^{e}" if e > 1 else str(b) for b, e in sorted(Counter(bounds).items()))
+
+
 def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> DivisorProfile:
     """Exact restricted divisor counts: the Dirichlet convolution of the indicators of
     1..b_i, one factor at a time, so equal partial products are merged as they form."""
     bounds = _normalize_bounds(k, bounds)
-    total = prod(bounds)
-    if total > tuple_budget:
-        raise BudgetError(f"{total} tuples exceed the budget of {tuple_budget}")
+    total = 1
+    for b in bounds:  # stops at the first partial product past the budget
+        total *= b
+        if total > tuple_budget:
+            raise BudgetError(f"{_factored(bounds)} tuples exceed the budget of {tuple_budget}")
     counts = {1: 1}
     for b in bounds:
         nxt: dict = {}
@@ -120,9 +128,9 @@ def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> F
         raise ValueError("k must be positive")
     if x < 1:
         raise ValueError("x must be at least 1")
-    pairs = x ** (2 * k)
-    if pairs > pair_budget:
-        raise BudgetError(f"{pairs} tuple pairs exceed the budget of {pair_budget}")
+    # x >= 2 passes any budget b within b.bit_length() + 1 factors, so the power stays small
+    if x ** min(2 * k, pair_budget.bit_length() + 1) > pair_budget:
+        raise BudgetError(f"{x}^{2 * k} tuple pairs exceed the budget of {pair_budget}")
     prods = [prod(t) for t in iproduct(range(1, x + 1), repeat=k)]
     return _balanced_sum(
         Fraction(1, p1) for p1 in prods for p2 in prods if p1 == p2

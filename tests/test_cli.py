@@ -337,6 +337,38 @@ class TestExitCodes:
         rc, out, err = run_cli(["count", "magic", "--k", "3", "--j", "2"], capsys)
         assert rc == 3 and out == "" and err == line
 
+    @pytest.mark.parametrize("cmd", [
+        ["count", "magic", "--j", "1"],
+        ["count", "pseudomagic", "--l", "1"],
+        ["count", "sym-even", "--j", "1"],
+        ["count", "sym-even-bounded", "--l", "1"],
+        ["count", "brute", "--family", "magic", "--j", "1"],
+        ["zeta", "profile", "--x", "1"],
+        ["zeta", "pairs", "--x", "1"],
+    ], ids=["magic", "pseudomagic", "sym-even", "sym-even-bounded", "brute", "profile", "pairs"])
+    def test_overflowing_k_is_3(self, capsys, cmd):
+        # k past the index range; a k between 10^8 and 2^63 would build a k-long tuple
+        rc, out, err = run_cli(cmd + ["--k", "1" + "0" * 20], capsys)
+        assert rc == 3 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", [
+        ["zeta", "pairs", "--k", "1000000", "--x", "2"],
+        ["zeta", "pairs", "--k", "10000000", "--x", "2"],
+        ["zeta", "mv", "--k", "300000", "--x", "2"],
+    ], ids=["pairs-1e6", "pairs-1e7", "mv-3e5"])
+    def test_giant_zeta_refusal_is_one_short_line(self, capsys, cmd):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(cmd, capsys)
+        assert time.perf_counter() - t0 < 2  # decided without writing the count out
+        assert rc == 3 and out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_is_2(self, capsys, tmp_path, where):
+        path = tmp_path / "no" / "x.json" if where == "missing-dir" else tmp_path
+        rc, out, err = run_cli(["count", "magic", "--k", "2", "--j", "2", "--out", str(path)],
+                               capsys)
+        assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_brute_missing_family_params_is_2(self, capsys):
         rc, _, err = run_cli(["count", "brute", "--family", "magic", "--k", "2"], capsys)
         assert rc == 2 and "--j" in err

@@ -1,5 +1,6 @@
 """Exact matrix counts: hand-checked anchors, frozen oracle tables, DP-vs-brute grids."""
 
+import tracemalloc
 from itertools import product
 from math import comb, factorial
 
@@ -8,7 +9,6 @@ import pytest
 from pseudomagic import counting
 from pseudomagic.counting import (
     MatrixCountSpec,
-    Partition,
     brute_force_count,
     contingency_spec,
     count_contingency,
@@ -17,11 +17,9 @@ from pseudomagic.counting import (
     count_pseudomagic_multi,
     count_symmetric_even,
     count_symmetric_even_bounded,
-    exact_sum,
     magic_spec,
     pseudomagic_multi_spec,
     pseudomagic_spec,
-    sum_at_most,
     symmetric_even_bounded_spec,
     symmetric_even_spec,
 )
@@ -50,41 +48,6 @@ def _small_partitions(max_part=3, max_len=3):
     return out
 
 
-class TestPartition:
-    def test_normalization(self):
-        assert Partition((1, 3, 0, 2)).parts == (3, 2, 1)
-        assert Partition(()).parts == ()
-        assert Partition((0, 0)).parts == ()
-
-    def test_weight(self):
-        assert Partition((3, 1)).weight == 4
-        assert Partition(()).weight == 0
-
-    def test_equality_ignores_order_and_zeros(self):
-        assert Partition((2, 1)) == Partition((0, 1, 2))
-        assert hash(Partition((2, 1))) == hash(Partition((1, 2)))
-
-    def test_negative_part_rejected(self):
-        with pytest.raises(ValueError):
-            Partition((2, -1))
-
-
-class TestSpecValidation:
-    def test_symmetric_must_be_square(self):
-        with pytest.raises(ValueError):
-            MatrixCountSpec(2, 3, (exact_sum(1),) * 2, (exact_sum(1),) * 3, symmetric=True)
-
-    def test_constraint_count_must_match_shape(self):
-        with pytest.raises(ValueError):
-            MatrixCountSpec(2, 2, (exact_sum(1),), (exact_sum(1),) * 2)
-
-    def test_constraint_kind_checked(self):
-        with pytest.raises(ValueError):
-            counting.SumConstraint("wrong", 1)
-        with pytest.raises(ValueError):
-            sum_at_most(-1)
-
-
 class TestContingency:
     def test_anchor_3(self):
         assert count_contingency((2, 1, 1), (3, 1)) == 3
@@ -98,6 +61,11 @@ class TestContingency:
     def test_empty_prescriptions(self):
         assert count_contingency((), ()) == 1
         assert count_contingency((0,), (0, 0)) == 1
+
+    def test_negative_part_rejected(self):
+        for refuse in (contingency_spec, count_contingency):
+            with pytest.raises(ValueError, match="partition parts must be nonnegative, got -1"):
+                refuse((2, -1), (1,))
 
     def test_order_invariance(self):
         assert count_contingency((1, 2, 1), (1, 3)) == count_contingency((2, 1, 1), (3, 1))
@@ -259,6 +227,39 @@ class TestBruteForceAgreement:
     def test_brute_budget_refusal(self):
         with pytest.raises(BudgetError):
             brute_force_count(magic_spec(3, 5), explosion_cap=10)
+
+    def test_brute_budget_before_entries(self):
+        # a 1000x1000 grid is refused before a million entries are listed
+        spec = contingency_spec([1] * 1000, [1] * 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                brute_force_count(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("spec", [
+        MatrixCountSpec((1, 1), (1, 1, 1), True, symmetric=True),
+        MatrixCountSpec((), (1,), True),
+        MatrixCountSpec((1, -1), (1, 1), False),
+    ], ids=["symmetric-non-square", "empty", "negative-sum"])
+    def test_brute_refuses_malformed_spec(self, spec):
+        with pytest.raises(ValueError):
+            brute_force_count(spec)
+
+    @pytest.mark.parametrize("build,args,message", [
+        (magic_spec, (0, 1), "matrix shape must be positive"),
+        (magic_spec, (0, -1), "constraint bound must be nonnegative"),
+        (symmetric_even_bounded_spec, (2, -1), "constraint bound must be nonnegative"),
+        (pseudomagic_multi_spec, ((),), "matrix shape must be positive"),
+        (pseudomagic_multi_spec, ((2, -1),), "constraint bound must be nonnegative"),
+    ])
+    def test_spec_constructor_errors(self, build, args, message):
+        # the line limit is checked before the shape, even when k leaves no line
+        with pytest.raises(ValueError, match=message):
+            build(*args)
 
     def test_brute_deep_grid(self):
         # 1200 entries deep under a budget that admits the 2^1200 grid: no stack to exhaust

@@ -5,7 +5,7 @@ import pytest
 from pseudomagic.counting import count_contingency, count_pseudomagic
 from pseudomagic.errors import BudgetError
 from pseudomagic.genfun import (
-    TruncatedMultiSeries,
+    _times_geometric,
     contour_coefficient,
     expansion_count,
 )
@@ -13,20 +13,20 @@ from pseudomagic.genfun import (
 
 class TestSeriesArithmetic:
     def test_one(self):
-        s = TruncatedMultiSeries.one(2, 3)
-        assert s.coefficient((0, 0)) == 1
-        assert s.coefficient((1, 0)) == 0
+        # at cap 0 a geometric factor leaves the unit series as it is
+        s = _times_geometric({(0, 0): 1}, 0, (0, 1))
+        assert s == {(0, 0): 1}
 
     def test_single_geometric(self):
         # 1/(1-z) up to cap: all coefficients 1
-        s = TruncatedMultiSeries.one(1, 5).times_geometric((0,))
-        assert [s.coefficient((i,)) for i in range(6)] == [1] * 6
+        s = _times_geometric({(0,): 1}, 5, (0,))
+        assert [s.get((i,), 0) for i in range(6)] == [1] * 6
 
     def test_diagonal_geometric(self):
         # 1/(1-wz): nonzero only on the diagonal
-        s = TruncatedMultiSeries.one(2, 4).times_geometric((0, 1))
-        assert s.coefficient((3, 3)) == 1
-        assert s.coefficient((2, 3)) == 0
+        s = _times_geometric({(0, 0): 1}, 4, (0, 1))
+        assert s.get((3, 3), 0) == 1
+        assert s.get((2, 3), 0) == 0
 
 
 class TestContourOracle:
@@ -62,6 +62,10 @@ class TestExpansionOracle:
         for mu in parts:
             for nu in parts:
                 assert expansion_count(mu, nu) == count_contingency(mu, nu)
+
+    def test_negative_part_rejected(self):
+        with pytest.raises(ValueError, match="partition parts must be nonnegative, got -1"):
+            expansion_count((2, -1), (1,))
 
     def test_cap_too_small_rejected(self):
         with pytest.raises(ValueError):
