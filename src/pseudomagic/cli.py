@@ -13,8 +13,9 @@ are canonicalized to 15 significant digits before serialization so that the
 emitted JSON re-serializes byte-identically after a parse round trip.  Exit
 codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
 domain error or an unwritable --out path, 3 resource-budget refusal, exhausted
-memory or a size past the machine's index range (an OverflowError).  Each error
-is one stderr line, and so is each warning the library raises ("warning: ...").
+memory or a size past the machine's index range (an OverflowError, reported by
+the first integer flag past sys.maxsize when one is).  Each error is one stderr
+line, and so is each warning the library raises ("warning: ...").
 
 numpy is imported only by the handlers that compute with it (the Monte Carlo,
 Haar and quadrature rows), so an exact command never loads it.
@@ -390,6 +391,17 @@ def _call(cmd: Command, args):
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
+def _past_index_range(cmd: Command, args) -> str | None:
+    """The first integer flag of ``cmd`` whose value passes sys.maxsize, as an error text."""
+    for token in cmd.flags.split():
+        key = token.rstrip("?")
+        name = key.split(".")[0]
+        v = getattr(args, name.replace("-", "_"))
+        if FLAGS[key].get("type") is int and v is not None and abs(v) > sys.maxsize:
+            return f"--{name} {v} is past this machine's index range ({sys.maxsize})"
+    return None
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(10**7)
@@ -400,7 +412,10 @@ def main(argv=None) -> int:
         setattr(args, cmd.budget, _BUDGETS[cmd.budget] if args.budget is None else args.budget)
     try:
         out = _call(cmd, args)
-    except (BudgetError, MemoryError, OverflowError) as exc:
+    except OverflowError as exc:
+        print(f"error: {_past_index_range(cmd, args) or exc}", file=sys.stderr)
+        return 3
+    except (BudgetError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:

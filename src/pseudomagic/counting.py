@@ -265,8 +265,24 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
     Refuses with BudgetError when the raw grid (product of per-entry ranges)
     exceeds ``explosion_cap``, and with ValueError when ``spec`` is empty,
     has a negative line sum, or is symmetric with unequal line counts.
+
+    A line with limit 0 forces its entries to 0, so it is dropped before the
+    walk (for a symmetric spec, index i goes when row i or column i is 0).
+    Every entry left has a range of at least 2, so the grid check stops
+    within log2(explosion_cap) + 1 entries.
     """
     row_lim, col_lim, exact, sym = _checked(spec)
+    if sym:
+        keep = [i for i, (r, c) in enumerate(zip(row_lim, col_lim)) if r and c]
+        rows, cols = [row_lim[i] for i in keep], [col_lim[i] for i in keep]
+    else:
+        rows, cols = [r for r in row_lim if r], [c for c in col_lim if c]
+    # an exact positive sum is unmet when its line has no entry left: a symmetric
+    # index dropped for its other side, or every line across it dropped
+    unmet = exact and (
+        sum(row_lim) > (sum(rows) if cols else 0) or sum(col_lim) > (sum(cols) if rows else 0)
+    )
+    row_lim, col_lim = rows, cols
     m, n = len(row_lim), len(col_lim)
 
     def walk():  # (row, column, largest value) of each entry, lazily
@@ -282,7 +298,11 @@ def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_B
             raise BudgetError(
                 f"brute-force grid exceeds explosion cap {explosion_cap}"
             )
+    if unmet:
+        return 0
     entries = list(walk())
+    if not entries:
+        return 1
 
     target = list(col_lim)
     rsum = [0] * m

@@ -8,6 +8,10 @@ enumeration over pairs of factorization tuples, approximates the time average
 numerically, and compares everything against the arithmetic-factor-times-
 count-polynomial prediction, whose quality improves only logarithmically.
 
+Both exact routes hand their terms to one kernel, ``_exact_sum``: it sums each
+run of 64 terms in integers over the lcm of the run's denominators, then adds
+the runs' fractions pairwise, so a gcd is taken once per run, not per term.
+
 Only the direct integrator needs numpy and a thread pool: ``numeric_moment``
 and its grid kernel import them when they run, so the exact mean values and
 the predictions run without loading numpy.
@@ -19,8 +23,9 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from itertools import product as iproduct
-from math import inf, log, prod
+from math import inf, lcm, log, prod
 from typing import TYPE_CHECKING
 
 from . import euler
@@ -34,6 +39,8 @@ DEFAULT_TUPLE_BUDGET = 10**8
 DEFAULT_PAIR_BUDGET = 10**6
 # numeric_moment's time grid and partial-sum terms: float arrays of this length are 80 MB.
 MAX_GRID_POINTS = 10**7
+# terms per integer run of _exact_sum: one lcm and one gcd each
+_RUN = 64
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,20 @@ def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) ->
     return DivisorProfile(k=k, bounds=bounds, counts=counts)
 
 
-def _balanced_sum(terms) -> Fraction:
-    # pairwise reduction keeps the two operands of every addition comparable
-    # in size, so the bit cost stays near-linear instead of quadratic
-    work = list(terms)
+def _exact_sum(terms) -> Fraction:
+    """Exact sum of c/d over the (c, d) integer pairs of ``terms``, d positive.
+
+    Each run of _RUN consecutive terms is summed in integers over the lcm of
+    its denominators, which costs one gcd per run instead of one per term.
+    The runs' fractions are then added pairwise, so the two operands of
+    every addition stay comparable in size and the bit cost stays
+    near-linear instead of quadratic.
+    """
+    it = iter(terms)
+    work = []
+    while run := list(islice(it, _RUN)):
+        den = lcm(*(d for _, d in run))
+        work.append(Fraction(sum(c * (den // d) for c, d in run), den))
     if not work:
         return Fraction(0)
     while len(work) > 1:
@@ -115,7 +132,7 @@ def _balanced_sum(terms) -> Fraction:
 
 def mv_pseudomoment(profile: DivisorProfile) -> Fraction:
     """Exact mean value sum_n counts[n]^2 / n of the squared profile."""
-    return _balanced_sum(Fraction(d * d, n) for n, d in profile.counts.items())
+    return _exact_sum((d * d, n) for n, d in profile.counts.items())
 
 
 def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Fraction:
@@ -132,9 +149,7 @@ def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> F
     if x ** min(2 * k, pair_budget.bit_length() + 1) > pair_budget:
         raise BudgetError(f"{x}^{2 * k} tuple pairs exceed the budget of {pair_budget}")
     prods = [prod(t) for t in iproduct(range(1, x + 1), repeat=k)]
-    return _balanced_sum(
-        Fraction(1, p1) for p1 in prods for p2 in prods if p1 == p2
-    )
+    return _exact_sum((1, p1) for p1 in prods for p2 in prods if p1 == p2)
 
 
 def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarray:

@@ -348,8 +348,20 @@ class TestExitCodes:
     ], ids=["magic", "pseudomagic", "sym-even", "sym-even-bounded", "brute", "profile", "pairs"])
     def test_overflowing_k_is_3(self, capsys, cmd):
         # k past the index range; a k between 10^8 and 2^63 would build a k-long tuple
-        rc, out, err = run_cli(cmd + ["--k", "1" + "0" * 20], capsys)
-        assert rc == 3 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        k = "1" + "0" * 20
+        rc, out, err = run_cli(cmd + ["--k", k], capsys)
+        assert rc == 3 and out == "" and err.count("\n") == 1
+        assert err == f"error: --k {k} is past this machine's index range ({sys.maxsize})\n"
+
+    def test_overflow_without_a_large_flag_keeps_its_text(self, capsys, monkeypatch):
+        from pseudomagic import counting
+
+        def overflow(k, j):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(counting, "count_magic", overflow)
+        rc, out, err = run_cli(["count", "magic", "--k", "3", "--j", "2"], capsys)
+        assert rc == 3 and out == "" and err == "error: int too large to convert to float\n"
 
     @pytest.mark.parametrize("cmd", [
         ["zeta", "pairs", "--k", "1000000", "--x", "2"],

@@ -1,8 +1,11 @@
 """Exact matrix counts: hand-checked anchors, frozen oracle tables, DP-vs-brute grids."""
 
+import time
 import tracemalloc
+from collections import Counter
 from itertools import product
 from math import comb, factorial
+from operator import le
 
 import pytest
 
@@ -260,6 +263,35 @@ class TestBruteForceAgreement:
         # the line limit is checked before the shape, even when k leaves no line
         with pytest.raises(ValueError, match=message):
             build(*args)
+
+    def test_zero_lines_are_not_walked(self):
+        # 490,000 forced-zero entries: dropped with their lines, not listed one by one
+        t0 = time.perf_counter()
+        assert brute_force_count(magic_spec(700, 0)) == 1
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("m,n,symmetric", [
+        (m, n, sym) for m in (1, 2, 3) for n in (1, 2, 3) for sym in (False, True)
+        if m == n or not sym
+    ])
+    def test_matches_product_oracle(self, m, n, symmetric):
+        # every spec of this shape with limits 0..2, exact and at most, against a
+        # tally of all matrices with entries 0..2 (no entry can pass its limit of 2)
+        tally = Counter()
+        for flat in product(range(3), repeat=m * n):
+            mat = [flat[i * n:(i + 1) * n] for i in range(m)]
+            if symmetric and any(mat[i][j] != mat[j][i] or (i == j and mat[i][i] % 2)
+                                 for i in range(m) for j in range(m)):
+                continue
+            tally[tuple(map(sum, mat)), tuple(map(sum, zip(*mat)))] += 1
+        for rows, cols in product(product(range(3), repeat=m), product(range(3), repeat=n)):
+            for exact in (True, False):
+                expected = tally[rows, cols] if exact else sum(
+                    w for (rs, cs), w in tally.items()
+                    if all(map(le, rs, rows)) and all(map(le, cs, cols))
+                )
+                spec = MatrixCountSpec(rows, cols, exact, symmetric)
+                assert brute_force_count(spec) == expected, spec
 
     def test_brute_deep_grid(self):
         # 1200 entries deep under a budget that admits the 2^1200 grid: no stack to exhaust

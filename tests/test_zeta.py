@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import exp, log, prod
+from random import Random
 
 import pytest
 from numpy import euler_gamma
@@ -11,7 +12,10 @@ from numpy import euler_gamma
 from pseudomagic.ehrhart import pseudomagic_polynomial
 from pseudomagic.errors import MAX_THREADS, BudgetError
 from pseudomagic.zeta import (
+    _RUN,
+    DEFAULT_PAIR_BUDGET,
     MAX_GRID_POINTS,
+    _exact_sum,
     convergence_ladder,
     divisor_profile,
     mv_pseudomoment,
@@ -89,6 +93,31 @@ class TestMeanValue:
         assert mv_pseudomoment(divisor_profile(1, 10)) == F(7381, 2520)
 
 
+class TestExactSum:
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+    def test_run_edges(self, count):
+        terms = [(3 * i + 1, i % 17 + 1) for i in range(count)]
+        assert _exact_sum(terms) == sum((F(c, d) for c, d in terms), F(0))
+        assert _exact_sum(iter(terms)) == _exact_sum(terms)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_profiles(self, seed):
+        rng = Random(seed)
+        k = seed % 3 + 1
+        while True:  # unequal cutoffs, with a term count that leaves a partial last run
+            bounds = tuple(rng.randint(2, {1: 300, 2: 40, 3: 12}[k]) for _ in range(k))
+            counts = divisor_profile(k, bounds).counts
+            if len(set(bounds)) == k and len(counts) % _RUN and len(counts) > _RUN:
+                break
+        terms = [(d * d, n) for n, d in counts.items()]
+        assert _exact_sum(terms) == sum((F(c, d) for c, d in terms), F(0))
+
+    def test_run_with_lcm_one(self):
+        terms = [(i, 1) for i in range(-5, 2 * _RUN)]
+        assert _exact_sum(terms) == sum(range(-5, 2 * _RUN))
+        assert _exact_sum([(1, 1)] * _RUN + [(1, 2)]) == F(2 * _RUN + 1, 2)
+
+
 class TestPairOracle:
     @pytest.mark.parametrize("x", range(1, 21))
     def test_k1_matches(self, x):
@@ -101,6 +130,14 @@ class TestPairOracle:
     @pytest.mark.parametrize("x", range(1, 4))
     def test_k3_matches(self, x):
         assert pair_sum_oracle(3, x) == mv_pseudomoment(divisor_profile(3, x))
+
+    @pytest.mark.parametrize("k,x", [(1, 200), (2, 15), (3, 6)])
+    def test_matches_across_runs(self, k, x):
+        # the oracle's equal pairs fill several runs of the summation kernel
+        profile = divisor_profile(k, x)
+        assert x ** (2 * k) <= DEFAULT_PAIR_BUDGET
+        assert sum(d * d for d in profile.counts.values()) > 2 * _RUN
+        assert pair_sum_oracle(k, x) == mv_pseudomoment(profile)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
