@@ -13,9 +13,10 @@ are canonicalized to 15 significant digits before serialization so that the
 emitted JSON re-serializes byte-identically after a parse round trip.  Exit
 codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
 domain error or an unwritable --out path, 3 resource-budget refusal, exhausted
-memory or a size past the machine's index range (an OverflowError, reported by
-the first integer flag past sys.maxsize when one is).  Each error is one stderr
-line, and so is each warning the library raises ("warning: ...").
+memory, or a size past the machine's index range or a float result past the
+float range (an OverflowError, reported by the first integer flag past
+sys.maxsize when one is).  Each error is one stderr line, and so is each
+warning the library raises ("warning: ...").
 
 numpy is imported only by the handlers that compute with it (the Monte Carlo,
 Haar and quadrature rows), so an exact command never loads it.
@@ -24,6 +25,7 @@ Haar and quadrature rows), so an exact command never loads it.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import warnings
@@ -191,8 +193,16 @@ def _mv(a):
     return Out(zeta.mv_pseudomoment(prof), extra={"bounds": prof.bounds})
 
 
+def _finite(**values) -> None:
+    """Refuse, with OverflowError (exit 3), a float result that left the float range."""
+    for name, v in values.items():
+        if not cmath.isfinite(v):
+            raise OverflowError(f"{name} {v} is not finite: the result is past the float range")
+
+
 def _integrate(a):
     v, err = zeta.numeric_moment(a.k, a.x, a.t_max, a.steps, threads=a.threads)
+    _finite(value=v, error=err)
     return Out({"value": v, "error": err}, f"{v:.15g} ± {err:.3g}")
 
 
@@ -242,6 +252,7 @@ def _unit(angle: float) -> complex:
 
 
 def _estimate(est: rmt.MomentEstimate):
+    _finite(mean=est.mean, stderr=est.stderr)
     mean, z = est.mean, est.z_score()
     head = f"{mean:.15g}" if not isinstance(mean, complex) else f"{mean.real:.15g}{mean.imag:+.15g}j"
     plain = f"mean={head} stderr={est.stderr:.6g} samples={est.samples}"
@@ -386,6 +397,9 @@ def _call(cmd: Command, args):
         warnings.simplefilter("default")
         try:
             return cmd.handler(args)
+        except OverflowError:
+            caught.clear()  # its one error line says what the float warnings led to
+            raise
         finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)

@@ -1,25 +1,25 @@
 """Exact enumeration of nonnegative integer matrices with line-sum constraints.
 
-Counts contingency tables (prescribed row and column sums), magic squares
-(every row and column summing to exactly j), pseudomagic squares (row and
-column sums at most l, including per-line bound vectors), and symmetric
-variants with even diagonal entries.  Everything returns arbitrary-precision
-integers; there is no fixed-width fast path.  A line-sum prescription is a
-plain tuple, sorted decreasing with its zero parts dropped.
+One ``MatrixCountSpec`` describes every problem: row limits, column limits,
+whether every line sum is exact (else at most its limit), and whether the
+matrix is symmetric with an even diagonal.  Each family (contingency tables,
+magic, pseudomagic and symmetric squares) has a spec constructor, and three
+counters read a spec: ``count``, the forward DPs below, behind every
+``count_*`` function; ``brute_force_count``, an entry-by-entry enumeration;
+and ``genfun.series_count``, a generating-function coefficient.  Counts are
+arbitrary-precision integers; a line-sum prescription is a decreasing tuple
+of positive parts.
 
 One non-recursive allocation step spreads a line sum over rows and tallies
-the sorted multiset of leftover capacities, a sound state because rows with
-equal leftover are interchangeable.  Two forward layered DPs drive it:
-column by column for contingency tables, where at-most bounds become exact
-through a slack row and column of margin sum(bounds), and row by row for
-symmetric even-diagonal matrices, where the diagonal absorbs any shortfall.
-
-``brute_force_count`` enumerates matrices entry by entry with running-sum
-pruning and no memoization; it is the independent oracle the test suite
-checks every DP counter against.  Its input, a ``MatrixCountSpec``, is four
-plain fields: the row limits, the column limits, whether every line sum is
-exact (else at most its limit), and whether the matrix is symmetric with an
-even diagonal.
+the sorted multiset of leftover capacities (rows with equal leftover are
+interchangeable).  ``count`` drives it column by column for contingency
+tables, where at-most sums become exact through slack lines: the margins
+are ``rows + (sum(cols),)`` and ``cols + (sum(rows),)``, the slack column
+taking each row's shortfall, the slack row each column's and the corner the
+total.  It drives it row by row for symmetric matrices, where index i
+carries one sum: ``rows`` when exact (no matrix when ``rows != cols``), else
+``min(rows_i, cols_i)``.  The diagonal takes what a row leaves: exactly,
+and even, when exact; any even value up to it when at most.
 """
 
 from __future__ import annotations
@@ -145,20 +145,6 @@ def _place(caps, t, weight, out):
         i += 1
 
 
-def _count_tables(rows, cols) -> int:
-    """Contingency tables by a forward DP, column by column, over sorted leftover row capacities."""
-    rows, cols = _parts(rows), _parts(cols)
-    if sum(rows) != sum(cols):
-        return 0
-    layer = {rows: 1}
-    for c in cols:
-        nxt = {}
-        for caps, w in layer.items():
-            _place(caps, c, w, nxt)
-        layer = nxt
-    return layer.get((), 0)
-
-
 def _count_symmetric(margins, diagonal_ways) -> int:
     """Symmetric matrices with line sums ``margins``, by a forward DP row by row.
 
@@ -184,51 +170,56 @@ def _count_symmetric(margins, diagonal_ways) -> int:
 #### counting operations ####
 
 
+def _index_sums(spec: MatrixCountSpec):
+    """The line sum of each index of a symmetric spec, or None when no symmetric matrix meets it."""
+    if not spec.exact:
+        return tuple(map(min, spec.rows, spec.cols))
+    return tuple(spec.rows) if tuple(spec.rows) == tuple(spec.cols) else None
+
+
+def count(spec: MatrixCountSpec) -> int:
+    """Number of matrices satisfying ``spec`` by the forward DPs; ValueError if it is malformed."""
+    rows, cols, exact, symmetric = _checked(spec)
+    if symmetric:
+        margins = _index_sums(spec)
+        if margins is None:
+            return 0
+        return _count_symmetric(margins, (lambda d: 1 - d % 2) if exact else (lambda d: d // 2 + 1))
+    if not exact:
+        rows, cols = (*rows, sum(cols)), (*cols, sum(rows))
+    rows, cols = _parts(rows), _parts(cols)
+    if sum(rows) != sum(cols):
+        return 0
+    layer = {rows: 1}
+    for c in cols:
+        nxt = {}
+        for caps, w in layer.items():
+            _place(caps, c, w, nxt)
+        layer = nxt
+    return layer.get((), 0)
+
+
 def count_contingency(rows, cols) -> int:
     """Number of nonnegative integer matrices with row sums ``rows`` and column sums ``cols``.
 
-    Returns 0 when the weights differ.  Zero parts are dropped; the count is
-    invariant under reordering of either prescription.
+    Zero parts are dropped and the order is free; 0 when the weights differ.
     """
-    return _count_tables(rows, cols)
+    return count(contingency_spec(rows, cols))
 
 
 def count_magic(k: int, j: int) -> int:
     """Number of k-by-k nonnegative integer matrices with every line sum exactly j."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return _count_tables((j,) * k, (j,) * k)
+    return count(magic_spec(k, j))
 
 
 def count_pseudomagic(k: int, l: int) -> int:
-    """Number of k-by-k nonnegative integer matrices with every line sum at most l.
-
-    Counted through slack lines as in ``count_pseudomagic_multi``.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    margins = (l,) * k + (k * l,)
-    return _count_tables(margins, margins)
+    """Number of k-by-k nonnegative integer matrices with every line sum at most l."""
+    return count(pseudomagic_spec(k, l))
 
 
 def count_pseudomagic_multi(bounds) -> int:
-    """Line-sum bounds per index: row i and column i both sum to at most bounds[i].
-
-    Counted as contingency tables through slack lines: a slack column takes
-    each row's shortfall b_i - r_i, a slack row each column's, and the corner
-    takes the total, so the margins on both sides are ``bounds + (sum bounds,)``.
-    """
-    bounds = tuple(int(b) for b in bounds)
-    if not bounds:
-        raise ValueError("need at least one bound")
-    if any(b < 0 for b in bounds):
-        raise ValueError("bounds must be nonnegative")
-    margins = bounds + (sum(bounds),)
-    return _count_tables(margins, margins)
+    """Line-sum bounds per index: row i and column i both sum to at most bounds[i]."""
+    return count(pseudomagic_multi_spec(bounds))
 
 
 def count_symmetric_even(k: int, j: int) -> int:
@@ -237,20 +228,12 @@ def count_symmetric_even(k: int, j: int) -> int:
     Zero whenever k*j is odd: the total weight equals the diagonal sum plus
     twice the off-diagonal sum, and an even diagonal forces it even.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return _count_symmetric((j,) * k, lambda d: 1 - d % 2)  # diagonal forced to d
+    return count(symmetric_even_spec(k, j))
 
 
 def count_symmetric_even_bounded(k: int, l: int) -> int:
     """Symmetric k-by-k nonnegative integer matrices, line sums at most l, even diagonal."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    return _count_symmetric((l,) * k, lambda d: d // 2 + 1)  # any even diagonal <= d
+    return count(symmetric_even_bounded_spec(k, l))
 
 
 #### brute-force oracle ####
@@ -259,12 +242,11 @@ def count_symmetric_even_bounded(k: int, l: int) -> int:
 def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_BUDGET) -> int:
     """Count matrices satisfying ``spec`` by entry-by-entry enumeration.
 
-    Independent of the DP counters: row-major depth-first fill with
+    Independent of ``count``: row-major depth-first fill with
     running-sum pruning, no canonicalization, no memoization, and no
     recursion, so a budget that admits a deep grid cannot exhaust the stack.
     Refuses with BudgetError when the raw grid (product of per-entry ranges)
-    exceeds ``explosion_cap``, and with ValueError when ``spec`` is empty,
-    has a negative line sum, or is symmetric with unequal line counts.
+    exceeds ``explosion_cap``, and a malformed ``spec`` with ValueError.
 
     A line with limit 0 forces its entries to 0, so it is dropped before the
     walk (for a symmetric spec, index i goes when row i or column i is 0).

@@ -1,89 +1,90 @@
 """Truncated multivariate power series as an exact coefficient-extraction oracle.
 
-The bounded-line-sum count equals a coefficient of the rational function
-
-    1 / [ prod_{i,j} (1 - w_i z_j) * prod_i (1 - w_i) * prod_j (1 - z_j) ]
-
-and the contingency count is a coefficient of the kernel without the
-univariate factors.  For rational functions of this pole structure the
-residue form of that statement is definitional, so coefficient extraction on
-a truncated formal expansion replaces contour quadrature entirely and keeps
-everything in exact integers.
+``series_count`` counts the matrices of a ``MatrixCountSpec`` as a coefficient
+of a rational function, independently of the DP and of brute force.  Each
+line gets a variable and each entry a geometric factor in the variables of
+the lines it adds to: the coefficient of w^rows z^cols in
+1/prod_{i,j}(1 - w_i z_j) is the contingency count.  A symmetric spec has one
+variable per index, a factor 1/(1 - x_i x_j) per entry above the diagonal and
+1/(1 - x_i^2) per diagonal entry, which is even.  At-most sums add a factor
+1/(1 - v) per variable v, which takes its line's shortfall.
 
 A series is a plain dict from exponent multi-index to integer coefficient,
-truncated at a per-variable degree cap that the caller carries.
+truncated at a per-variable degree cap, so extraction from the truncated
+expansion replaces contour quadrature and stays in exact integers.
 """
 
 from __future__ import annotations
 
+from .counting import _checked, _index_sums, contingency_spec, pseudomagic_spec
 from .errors import BudgetError
 
 DEFAULT_TERM_BUDGET = 10**7
 
 
 def _times_geometric(terms: dict, cap: int, var_indices) -> dict:
-    """``terms`` times sum_{t>=0} (prod of the given variables)^t, truncated at ``cap``."""
+    """``terms`` times sum_{t>=0} (prod of the given variables)^t, truncated at ``cap``.
+
+    A variable listed twice is squared in the product.
+    """
+    steps = [(v, var_indices.count(v)) for v in dict.fromkeys(var_indices)]
     out = {}
     for idx, coef in terms.items():
-        lim = min(cap - idx[v] for v in var_indices)
+        lim = min([(cap - idx[v]) // m for v, m in steps])
         cur = list(idx)
         key = idx
         for _ in range(lim + 1):
             out[key] = out.get(key, 0) + coef
-            for v in var_indices:
-                cur[v] += 1
+            for v, m in steps:
+                cur[v] += m
             key = tuple(cur)
     return out
 
 
 def _check_budget(num_vars: int, cap: int, term_budget: int):
-    if (cap + 1) ** num_vars > term_budget:
+    # (cap+1)^num_vars exceeds the budget once (cap+1)^(bits + 1) does, for cap >= 1
+    if (cap + 1) ** min(num_vars, term_budget.bit_length() + 1) > term_budget:
         raise BudgetError(
             f"series with {num_vars} vars at cap {cap} exceeds term budget {term_budget}"
         )
 
 
-def master_series(k: int, cap: int, term_budget: int = DEFAULT_TERM_BUDGET) -> dict:
-    """Expansion of the full kernel in w_1..w_k, z_1..z_k, truncated at ``cap``, as a dict.
+def series_count(spec, cap=None, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
+    """Number of matrices satisfying ``spec``, as a coefficient of its generating function.
 
-    Variables 0..k-1 are the w's, k..2k-1 the z's.  Built by folding in the
-    k^2 cross factors 1/(1 - w_i z_j) first, then the 2k univariate factors.
+    Truncated at degree ``cap`` per variable (default: the largest limit).  A
+    malformed spec or a ``cap`` below a limit is a ValueError; a series that
+    could hold more than ``term_budget`` terms is refused before any is built.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    _check_budget(2 * k, cap, term_budget)
-    s = {(0,) * (2 * k): 1}
-    for i in range(k):
-        for j in range(k):
-            s = _times_geometric(s, cap, (i, k + j))
-    for v in range(2 * k):
-        s = _times_geometric(s, cap, (v,))
-    return s
+    rows, cols, exact, symmetric = _checked(spec)
+    if symmetric:
+        target = _index_sums(spec)
+        if target is None:
+            return 0
+        n = len(target)
+        factors = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        target, m = (*rows, *cols), len(rows)
+        factors = [(i, m + j) for i in range(m) for j in range(len(cols))]
+    if not exact:
+        factors += [(v,) for v in range(len(target))]
+    cap = max(target) if cap is None else cap
+    if max(target) > cap:
+        raise ValueError("cap too small for the requested exponents")
+    _check_budget(len(target), cap, term_budget)
+    s = {(0,) * len(target): 1}
+    for f in factors:
+        s = _times_geometric(s, cap, f)
+    return s.get(tuple(target), 0)
 
 
 def contour_coefficient(k: int, l: int, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
-    """Coefficient of (w_1...w_k z_1...z_k)^l in the full kernel: the bounded count."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    return master_series(k, l, term_budget).get((l,) * (2 * k), 0)
+    """Coefficient of (w_1...w_k z_1...z_k)^l in the bounded kernel: the bounded count."""
+    if k > 0 and l >= 0:  # a refusal comes before the k-long spec is built
+        _check_budget(2 * k, l, term_budget)
+    return series_count(pseudomagic_spec(k, l), term_budget=term_budget)
 
 
 def expansion_count(alpha, beta, cap=None, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Coefficient of w^alpha z^beta in 1/prod_{i,j}(1 - w_i z_j): the contingency count."""
-    from .counting import _parts
-
-    a = _parts(alpha) or (0,)
-    b = _parts(beta) or (0,)
-    if cap is None:
-        cap = max(max(a), max(b))
-    if max(max(a), max(b)) > cap:
-        raise ValueError("cap too small for the requested exponents")
-    m, n = len(a), len(b)
-    _check_budget(m + n, cap, term_budget)
-    s = {(0,) * (m + n): 1}
-    for i in range(m):
-        for j in range(n):
-            s = _times_geometric(s, cap, (i, m + j))
-    return s.get(a + b, 0)
+    return series_count(contingency_spec(alpha, beta), cap, term_budget)

@@ -381,6 +381,33 @@ class TestExitCodes:
                                capsys)
         assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("cmd", [
+        ["rmt", "moment", "--j", "2", "--k", "1000", "--n", "3", "--samples", "10"],
+        ["rmt", "mixed", "--a", "1000", "--b", "1000", "--n", "3", "--samples", "10"],
+        ["rmt", "truncated", "--l", "1", "--k", "1000", "--n", "3", "--samples", "10",
+         "--threads", "2"],
+        ["zeta", "integrate", "--k", "1000", "--x", "2", "--t-max", "1", "--steps", "4"],
+        ["zeta", "integrate", "--k", "1" + "0" * 20, "--x", "2", "--t-max", "1", "--steps", "4"],
+    ], ids=["moment", "mixed", "truncated", "integrate", "integrate-huge-k"])
+    def test_non_finite_result_is_3(self, capsys, cmd, mode):
+        # inf or nan is no value (nor valid JSON); numpy's overflow warnings stay unprinted
+        rc, out, err = run_cli(mode + cmd, capsys)
+        assert rc == 3 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd,family", [
+        (["count", "magic", "--k", "0", "--j", "1"], "magic"),
+        (["count", "sym-even-bounded", "--k", "2", "--l", "-1"], "sym-even-bounded"),
+        (["count", "pseudomagic-multi", "--bounds", "2,-1"], "pseudomagic-multi"),
+        (["oracle", "contour", "--k", "0", "--l", "1"], "pseudomagic"),
+    ], ids=["magic", "sym-even-bounded", "pseudomagic-multi", "contour"])
+    def test_one_message_per_fault(self, capsys, cmd, family):
+        # the DP and the series read the spec that brute force reads, so each fault has one text
+        rc, out, err = run_cli(cmd, capsys)
+        brute = ["count", "brute", "--family", family] + cmd[2:]
+        assert (rc, out, err) == run_cli(brute, capsys)
+        assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_brute_missing_family_params_is_2(self, capsys):
         rc, _, err = run_cli(["count", "brute", "--family", "magic", "--k", "2"], capsys)
         assert rc == 2 and "--j" in err

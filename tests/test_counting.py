@@ -14,6 +14,7 @@ from pseudomagic.counting import (
     MatrixCountSpec,
     brute_force_count,
     contingency_spec,
+    count,
     count_contingency,
     count_magic,
     count_pseudomagic,
@@ -27,6 +28,7 @@ from pseudomagic.counting import (
     symmetric_even_spec,
 )
 from pseudomagic.errors import BudgetError
+from pseudomagic.genfun import series_count
 
 # outputs of brute_force_count, frozen
 H2_TABLE = [1, 2, 3, 4, 5, 6, 7]
@@ -249,8 +251,9 @@ class TestBruteForceAgreement:
         MatrixCountSpec((1, -1), (1, 1), False),
     ], ids=["symmetric-non-square", "empty", "negative-sum"])
     def test_brute_refuses_malformed_spec(self, spec):
-        with pytest.raises(ValueError):
-            brute_force_count(spec)
+        for counter in (brute_force_count, count, series_count):
+            with pytest.raises(ValueError):
+                counter(spec)
 
     @pytest.mark.parametrize("build,args,message", [
         (magic_spec, (0, 1), "matrix shape must be positive"),
@@ -292,10 +295,29 @@ class TestBruteForceAgreement:
                 )
                 spec = MatrixCountSpec(rows, cols, exact, symmetric)
                 assert brute_force_count(spec) == expected, spec
+                assert count(spec) == expected, spec
+                assert series_count(spec) == expected, spec
 
     def test_brute_deep_grid(self):
         # 1200 entries deep under a budget that admits the 2^1200 grid: no stack to exhaust
         assert brute_force_count(contingency_spec([1] * 1200, [1200]), explosion_cap=10**400) == 1
+
+
+class TestSeriesAgreement:
+    """The generating-function oracle checks the symmetric DP where brute force cannot reach."""
+
+    def test_s6_frozen(self):
+        assert series_count(symmetric_even_spec(6, 6)) == 1594340
+
+    @pytest.mark.parametrize("k,l", [(4, 8), (5, 6)])
+    def test_symmetric_even_bounded(self, k, l):
+        spec = symmetric_even_bounded_spec(k, l)
+        assert series_count(spec) == count(spec) == count_symmetric_even_bounded(k, l)
+
+    def test_limits_in_any_sequence(self):
+        # a list of row limits against a tuple of equal column limits is one symmetric problem
+        spec = MatrixCountSpec([2, 2], (2, 2), True, symmetric=True)
+        assert count(spec) == series_count(spec) == brute_force_count(spec) == 2
 
 
 class TestLargerExactness:

@@ -1,5 +1,8 @@
 """Generating-function route: truncated series arithmetic and the coefficient oracles."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from pseudomagic.counting import count_contingency, count_pseudomagic
@@ -28,6 +31,11 @@ class TestSeriesArithmetic:
         assert s.get((3, 3), 0) == 1
         assert s.get((2, 3), 0) == 0
 
+    def test_squared_variable(self):
+        # 1/(1-z^2) up to cap 5: even powers only, none past the cap
+        s = _times_geometric({(0,): 1}, 5, (0, 0))
+        assert s == {(0,): 1, (2,): 1, (4,): 1}
+
 
 class TestContourOracle:
     @pytest.mark.parametrize("l", range(5))
@@ -44,6 +52,19 @@ class TestContourOracle:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             contour_coefficient(3, 6, term_budget=100)
+
+    def test_giant_k_refused_at_once(self):
+        # refused without the full power (cap+1)^(2k) and before a k-long spec exists
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetError, match="2000000000 vars at cap 1"):
+                contour_coefficient(10**9, 1)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20
 
 
 class TestExpansionOracle:
