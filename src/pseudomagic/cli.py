@@ -13,10 +13,11 @@ are canonicalized to 15 significant digits before serialization so that the
 emitted JSON re-serializes byte-identically after a parse round trip.  Exit
 codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
 domain error or an unwritable --out path, 3 resource-budget refusal, exhausted
-memory, or a size past the machine's index range or a float result past the
-float range (an OverflowError, reported by the first integer flag past
-sys.maxsize when one is).  Each error is one stderr line, and so is each
-warning the library raises ("warning: ...").
+memory, or a size past the machine's index range (an OverflowError, reported
+by the first integer flag past sys.maxsize when one is) or a float result past
+the float range: an infinite or NaN one, or an Euler factor that underflowed to
+0.0 (a _FloatRangeError, which names the value).  Each error is one stderr
+line, and so is each warning the library raises ("warning: ...").
 
 numpy is imported only by the handlers that compute with it (the Monte Carlo,
 Haar and quadrature rows), so an exact command never loads it.
@@ -193,11 +194,15 @@ def _mv(a):
     return Out(zeta.mv_pseudomoment(prof), extra={"bounds": prof.bounds})
 
 
+class _FloatRangeError(OverflowError):
+    """A float result outside float64's range (exit 3); its text is the error line."""
+
+
 def _finite(**values) -> None:
-    """Refuse, with OverflowError (exit 3), a float result that left the float range."""
+    """Refuse, with _FloatRangeError, a float result that left the float range."""
     for name, v in values.items():
         if not cmath.isfinite(v):
-            raise OverflowError(f"{name} {v} is not finite: the result is past the float range")
+            raise _FloatRangeError(f"{name} {v} is not finite: the result is past the float range")
 
 
 def _integrate(a):
@@ -227,6 +232,10 @@ def _ladder(a):
 
 
 def _euler(res: euler.EulerFactorResult):
+    if res.value == 0.0:  # every local factor is positive, so the product is too
+        raise _FloatRangeError(
+            f"the k = {res.k} factor is below the float range: it underflowed to 0.0"
+        )
     return Out(res.value, extra={"j_terms": res.j_terms, "tail_estimate": res.tail_estimate})
 
 
@@ -427,7 +436,8 @@ def main(argv=None) -> int:
     try:
         out = _call(cmd, args)
     except OverflowError as exc:
-        print(f"error: {_past_index_range(cmd, args) or exc}", file=sys.stderr)
+        text = exc if isinstance(exc, _FloatRangeError) else _past_index_range(cmd, args) or exc
+        print(f"error: {text}", file=sys.stderr)
         return 3
     except (BudgetError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

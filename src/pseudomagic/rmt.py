@@ -333,7 +333,12 @@ def truncated_poly_moment_mc(
     weights = np.array([z ** (n - j) * (-1) ** j for j in range(l + 1)], dtype=np.complex128)
 
     def values(e: np.ndarray) -> np.ndarray:
-        return np.abs(e[:, : l + 1] @ weights) ** (2 * k)
+        # one scaled row per coefficient, not a BLAS product: OpenBLAS threads
+        # that gemv at batch size, and its idle worker then spins on a core
+        acc = weights[0] * e[:, 0]
+        for j in range(1, l + 1):
+            acc += weights[j] * e[:, j]
+        return np.abs(acc) ** (2 * k)
 
     return _mc_mean(n, l, samples, seed, threads, values, complex_valued=False, target=target)
 

@@ -167,7 +167,9 @@ def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarra
     def fill(lo: int, hi: int):
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
-            s = np.exp(-1j * t[a:b, None] * logs[None, :]) @ amps
+            # einsum without `optimize` never calls BLAS: OpenBLAS threads this
+            # gemv, and its idle worker then spins on a core
+            s = np.einsum("ij,j->i", np.exp(-1j * t[a:b, None] * logs[None, :]), amps)
             out[a:b] = np.abs(s) ** (2 * k)
 
     if threads == 1:

@@ -111,7 +111,7 @@ class TestBroadCoverage:
         ([], "2.29179083695393 ± 0.0387\n"),
         (["--json"], '{"command": "--json zeta integrate --k 1 --x 5 --t-max 100 --steps 20", '
          '"metadata": {"k": 1, "steps": 20, "t_max": 100.0, "threads": 1, "x": 5}, '
-         '"value": {"error": 0.0387490030435949, "value": 2.29179083695393}}\n'),
+         '"value": {"error": 0.0387490030435953, "value": 2.29179083695393}}\n'),
     ], ids=["plain", "json"])
     def test_integrate_aliasing_warning_is_one_line(self, capsys, mode, stdout):
         args = mode + ["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "100", "--steps", "20"]
@@ -264,16 +264,30 @@ class TestExitCodes:
         assert rc == 2 and out == "" and "threads" in err
 
     @pytest.mark.parametrize("factor,k,code", [
-        ("a", "30", 0), ("a", "300", 0), ("a", "1000", 0), ("a", "10001", 2),
-        ("b", "300", 0), ("b", "1200", 0),
+        ("a", "20", 0), ("a", "30", 3), ("a", "300", 3), ("a", "1000", 3), ("a", "10001", 2),
+        ("b", "20", 0), ("b", "300", 3), ("b", "1200", 3),
     ])
-    def test_large_k_euler_ends_in_a_value_or_2(self, capsys, factor, k, code):
+    def test_large_k_euler_ends_in_a_value_or_a_refusal(self, capsys, factor, k, code):
         rc, out, err = run_cli(["euler", factor, "--k", k, "--prime-limit", "100"], capsys)
         assert rc == code
         if rc == 0:
             assert math.isfinite(float(out)) and err == ""
         else:
             assert out == "" and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("factor,k", [
+        ("a", "40"), ("b", "30"), ("b", "1" + "0" * 20),
+    ], ids=["a-40", "b-30", "b-1e20"])
+    def test_underflowed_euler_factor_is_3(self, capsys, mode, factor, k):
+        # the factor is positive but below float64's range; 0 would be a wrong value
+        rc, out, err = run_cli(mode + ["euler", factor, "--k", k], capsys)
+        assert rc == 3 and out == ""
+        assert err == f"error: the k = {k} factor is below the float range: it underflowed to 0.0\n"
+
+    def test_euler_b_k20_keeps_its_bytes(self, capsys):
+        rc, out, err = run_cli(["euler", "b", "--k", "20"], capsys)
+        assert (rc, out, err) == (0, "8.51511055646834e-149\n", "")
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

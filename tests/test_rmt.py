@@ -12,6 +12,7 @@ from pseudomagic.rmt import (
     MAX_HAAR_ENTRIES,
     MAX_SECULAR_N,
     _szego,
+    _verblunsky_batch,
     full_poly_moment_exact,
     g_factor,
     haar_unitary,
@@ -210,6 +211,21 @@ class TestMonteCarloDriver:
         est = secular_abs_moment_mc(1, 1, 3000, 3, seed=0)
         assert est.samples == 3 and est.target == 1
 
+    def test_truncated_reproducible_for_fixed_seed_and_threads(self):
+        a = truncated_poly_moment_mc(3, 1, 6, np.exp(0.3j), 6000, seed=7, threads=2)
+        b = truncated_poly_moment_mc(3, 1, 6, np.exp(0.3j), 6000, seed=7, threads=2)
+        assert a.mean == b.mean and a.stderr == b.stderr
+
+    def test_truncated_worker_counts_statistically_equivalent(self):
+        a = truncated_poly_moment_mc(2, 1, 6, 1.0, 20000, seed=5, threads=1)
+        b = truncated_poly_moment_mc(2, 1, 6, 1.0, 20000, seed=5, threads=3)
+        assert abs(a.mean - b.mean) < 5 * (a.stderr + b.stderr)
+
+    def test_single_thread_run_keeps_to_one_core(self, cpu_per_wall_second):
+        truncated_poly_moment_mc(3, 1, 16, 1.0, 4096, seed=1)  # warm up
+        ratio = cpu_per_wall_second(lambda: truncated_poly_moment_mc(3, 1, 16, 1.0, 8 * 4096, 2))
+        assert ratio < 1.5
+
     def test_more_threads_than_samples(self):
         est = secular_abs_moment_mc(1, 1, 3, 2, seed=0, threads=8)
         assert est.samples == 2
@@ -289,6 +305,16 @@ class TestTruncatedMoments:
         est = truncated_poly_moment_mc(1, 1, 4, z, 30000, seed=108)
         assert est.target == 2
         assert est.z_score() < 4
+
+    def test_matches_matrix_product_reference(self):
+        # _mc_mean's one stream and batches, weighted by a BLAS product instead
+        l, k, n, z, samples = 3, 2, 6, np.exp(0.3j), 5000
+        est = truncated_poly_moment_mc(l, k, n, z, samples, seed=9)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9).spawn(1)[0]))
+        w = np.array([z ** (n - j) * (-1) ** j for j in range(l + 1)])
+        values = [abs(_szego(_verblunsky_batch(rng, b, n), l) @ w) ** (2 * k)
+                  for b in (4096, samples - 4096)]
+        assert est.mean == pytest.approx(np.concatenate(values).mean(), rel=1e-12)
 
     def test_below_threshold_has_no_target(self):
         est = truncated_poly_moment_mc(3, 2, 4, 1.0, 100, seed=1)

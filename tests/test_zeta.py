@@ -6,6 +6,7 @@ from itertools import product
 from math import exp, log, prod
 from random import Random
 
+import numpy as np
 import pytest
 from numpy import euler_gamma
 
@@ -16,6 +17,7 @@ from pseudomagic.zeta import (
     DEFAULT_PAIR_BUDGET,
     MAX_GRID_POINTS,
     _exact_sum,
+    _partial_sum_power,
     convergence_ladder,
     divisor_profile,
     mv_pseudomoment,
@@ -164,6 +166,21 @@ class TestNumericMoment:
         v1, _ = numeric_moment(1, 6, 500.0, 20000, threads=1)
         v2, _ = numeric_moment(1, 6, 500.0, 20000, threads=3)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
+
+    def test_grid_matches_matrix_product_reference(self):
+        t = np.linspace(0.0, 300.0, 5001)
+        n = np.arange(1, 41)
+        ref = abs(np.exp(-1j * t[:, None] * np.log(n)[None, :]) @ n ** -0.5) ** 4
+        assert np.allclose(_partial_sum_power(2, 40, t, 1), ref, rtol=1e-12, atol=0)
+
+    def test_reproducible_for_fixed_threads(self):
+        assert numeric_moment(2, 7, 300.0, 9000, threads=2) == numeric_moment(
+            2, 7, 300.0, 9000, threads=2
+        )
+
+    def test_single_thread_run_keeps_to_one_core(self, cpu_per_wall_second):
+        numeric_moment(2, 40, 30.0, 3000)  # warm up
+        assert cpu_per_wall_second(lambda: numeric_moment(2, 40, 3000.0, 3 * 10**5)) < 1.5
 
     @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1, 10**9])
     def test_thread_count_bounded_before_any_pool(self, threads):
