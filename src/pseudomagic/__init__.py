@@ -25,7 +25,7 @@ _EXPORTS = {
         "check_trivial_zeros h_vector interpolate magic_polynomial pseudomagic_polynomial "
         "substochastic_volume symmetric_even_bounded_polynomials",
         "errors": "BudgetError",
-        "euler": "EulerFactorResult arithmetic_factor_a arithmetic_factor_b dk_prime_power",
+        "euler": "EulerFactorResult arithmetic_factor_a arithmetic_factor_b",
         "genfun": "contour_coefficient expansion_count series_count",
         "rmt": "MomentEstimate full_poly_moment_exact g_factor haar_unitary mixed_moment_mc "
         "secular_abs_moment_mc secular_coefficients truncated_poly_moment_mc",

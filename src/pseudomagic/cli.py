@@ -15,8 +15,9 @@ codes: 0 success, 1 failed internal verification (a RuntimeError), 2 usage or
 domain error or an unwritable --out path, 3 resource-budget refusal, exhausted
 memory, or a size past the machine's index range (an OverflowError, reported
 by the first integer flag past sys.maxsize when one is) or a float result past
-the float range: an infinite or NaN one, or an Euler factor that underflowed to
-0.0 (a _FloatRangeError, which names the value).  Each error is one stderr
+the float range: an infinite or NaN float anywhere in the value, which the
+serializer refuses by its key, or an Euler factor that underflowed to 0.0 (a
+_FloatRangeError, which names the value).  Each error is one stderr
 line, and so is each warning the library raises ("warning: ...").
 
 numpy is imported only by the handlers that compute with it (the Monte Carlo,
@@ -91,35 +92,42 @@ def _round15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-def _jsonable(v):
+class _FloatRangeError(OverflowError):
+    """A float result outside float64's range (exit 3); its text is the error line."""
+
+
+def _jsonable(v, key="value"):
+    """``v`` as JSON data; an infinite or NaN float or complex raises _FloatRangeError,
+    named by ``key``, the dict key it sits under."""
     if v is None or isinstance(v, (bool, str)):
         return v
     if isinstance(v, Fraction):
         return str(v)
     np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
     if np is not None and isinstance(v, (np.generic, np.ndarray)):
-        return _jsonable(v.tolist())
+        return _jsonable(v.tolist(), key)
     if isinstance(v, int):
         return int(v)
+    if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        raise _FloatRangeError(f"{key} {v} is not finite: the result is past the float range")
     if isinstance(v, float):
         return _round15(float(v))
     if isinstance(v, complex):
         return [_round15(v.real), _round15(v.imag)]
     if isinstance(v, dict):
-        return {str(k): _jsonable(u) for k, u in v.items()}
+        return {str(k): _jsonable(u, str(k)) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_jsonable(u) for u in v]
+        return [_jsonable(u, key) for u in v]
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
 def _plain(v) -> str:
+    """Plain text of a scalar value; a handler that returns a list or dict gives its own."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.15g}"
-    if isinstance(v, (int, str, Fraction)):
-        return str(v)
-    return json.dumps(_jsonable(v), sort_keys=True)
+    return str(v)
 
 
 class Out(NamedTuple):
@@ -194,20 +202,8 @@ def _mv(a):
     return Out(zeta.mv_pseudomoment(prof), extra={"bounds": prof.bounds})
 
 
-class _FloatRangeError(OverflowError):
-    """A float result outside float64's range (exit 3); its text is the error line."""
-
-
-def _finite(**values) -> None:
-    """Refuse, with _FloatRangeError, a float result that left the float range."""
-    for name, v in values.items():
-        if not cmath.isfinite(v):
-            raise _FloatRangeError(f"{name} {v} is not finite: the result is past the float range")
-
-
 def _integrate(a):
     v, err = zeta.numeric_moment(a.k, a.x, a.t_max, a.steps, threads=a.threads)
-    _finite(value=v, error=err)
     return Out({"value": v, "error": err}, f"{v:.15g} ± {err:.3g}")
 
 
@@ -261,7 +257,6 @@ def _unit(angle: float) -> complex:
 
 
 def _estimate(est: rmt.MomentEstimate):
-    _finite(mean=est.mean, stderr=est.stderr)
     mean, z = est.mean, est.z_score()
     head = f"{mean:.15g}" if not isinstance(mean, complex) else f"{mean.real:.15g}{mean.imag:+.15g}j"
     plain = f"mean={head} stderr={est.stderr:.6g} samples={est.samples}"
@@ -400,12 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _call(cmd: Command, args):
-    """Run a handler, printing each warning it raises as one stderr line, before any error line."""
+def _call(cmd: Command, args) -> tuple[Out, dict]:
+    """Run a handler and serialize its value and metadata, printing each warning either
+    raises as one stderr line, before any error line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
-            return cmd.handler(args)
+            out = cmd.handler(args)
+            out = out if isinstance(out, Out) else Out(out)
+            metadata = {key: out.extra[key] if key in out.extra else getattr(args, key)
+                        for key in cmd.meta.split()}
+            return out, {"value": _jsonable(out.value), "metadata": _jsonable(metadata)}
         except OverflowError:
             caught.clear()  # its one error line says what the float warnings led to
             raise
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     if cmd.budget:
         setattr(args, cmd.budget, _BUDGETS[cmd.budget] if args.budget is None else args.budget)
     try:
-        out = _call(cmd, args)
+        out, doc = _call(cmd, args)
     except OverflowError as exc:
         text = exc if isinstance(exc, _FloatRangeError) else _past_index_range(cmd, args) or exc
         print(f"error: {text}", file=sys.stderr)
@@ -448,17 +448,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not isinstance(out, Out):
-        out = Out(out)
-
-    metadata = {key: out.extra[key] if key in out.extra else getattr(args, key)
-                for key in cmd.meta.split()}
-    doc = {
-        "command": " ".join(argv),
-        "value": _jsonable(out.value),
-        "metadata": _jsonable(metadata),
-    }
-    text = json.dumps(doc, sort_keys=True)
+    text = json.dumps({"command": " ".join(argv), **doc}, sort_keys=True)
     if args.out:
         try:
             with open(args.out, "w") as fh:

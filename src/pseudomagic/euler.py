@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import comb, exp, expm1, fsum, log, log1p, sqrt
+from math import exp, expm1, fsum, log, log1p, sqrt
 
 from .errors import BudgetError
 
@@ -82,15 +82,6 @@ def primes_up_to(limit: int):
             flags[p * p:: p] = bytearray(len(flags[p * p:: p]))
         p += 1
     return list(compress(range(limit + 1), flags))
-
-
-def dk_prime_power(k: int, j: int) -> int:
-    """Number of ordered factorizations of p^j into k factors: binom(j+k-1, k-1)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return comb(j + k - 1, k - 1)
 
 
 def _local_a(coeffs, p: int) -> float:

@@ -183,39 +183,20 @@ def _szego(alpha: np.ndarray, jmax: int) -> np.ndarray:
     return e.T
 
 
-def _quotas(samples: int, threads: int):
-    q, r = divmod(samples, threads)
-    return [q + 1] * r + [q] * (threads - r)
+def _mc_quotas(n: int, samples: int, threads: int) -> list[int]:
+    """Each worker's sample quota for a Monte Carlo run at dimension n.
 
-
-def _mc_mean(
-    n: int,
-    jmax: int,
-    samples: int,
-    seed: int,
-    threads: int,
-    value_fn,
-    complex_valued: bool,
-    target,
-) -> MomentEstimate:
-    """Deterministic parallel Monte Carlo driver.
-
-    value_fn maps a (batch, jmax+1) coefficient block to one value per sample.
-    Each worker owns a spawned RNG substream and a fixed quota; partial sums
-    are combined in worker order, so results depend only on (seed, threads).
-    Refused with BudgetError, before any draw, when one worker's (n+1)-by-batch
-    buffer would hold more than MAX_HAAR_ENTRIES entries or the run would take
-    more than MAX_MC_COST Szego steps.
+    Refused with BudgetError when one worker's (n+1)-by-batch buffer would hold
+    more than MAX_HAAR_ENTRIES entries or the run would take more than
+    MAX_MC_COST Szego steps.  Each estimator asks for its quotas after its own
+    argument checks and before its exact target, which has no budget of its own.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    import numpy as np
-
     if samples < 1:
         raise ValueError("samples must be positive")
     check_threads(threads)
     threads = min(threads, samples)
-    quotas = _quotas(samples, threads)
+    q, r = divmod(samples, threads)
+    quotas = [q + 1] * r + [q] * (threads - r)
     batch = min(DEFAULT_BATCH, quotas[0])
     if (n + 1) * batch > MAX_HAAR_ENTRIES:
         raise BudgetError(
@@ -227,6 +208,23 @@ def _mc_mean(
             f"Monte Carlo of {samples} samples at n = {n} takes (n+1)^2 * samples = "
             f"{(n + 1) ** 2 * samples} Szego steps, above the ceiling of {MAX_MC_COST}"
         )
+    return quotas
+
+
+def _mc_mean(
+    n: int, jmax: int, quotas: list[int], seed: int, value_fn, complex_valued: bool, target
+) -> MomentEstimate:
+    """Deterministic parallel Monte Carlo run over the quotas of _mc_quotas.
+
+    value_fn maps a (batch, jmax+1) coefficient block to one value per sample.
+    Each worker owns a spawned RNG substream and a fixed quota; partial sums
+    are combined in worker order, so results depend only on (seed, threads).
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    samples, threads = sum(quotas), len(quotas)
     streams = np.random.SeedSequence(seed).spawn(threads)
 
     def work(w: int):
@@ -266,9 +264,10 @@ def secular_abs_moment_mc(
         raise ValueError("need 1 <= j <= n")
     if k < 1:
         raise ValueError("k must be positive")
+    quotas = _mc_quotas(n, samples, threads)
     target = counting.count_magic(k, j) if n >= j * k else None
     return _mc_mean(
-        n, j, samples, seed, threads,
+        n, j, quotas, seed,
         lambda e: abs(e[:, j]) ** (2 * k),
         complex_valued=False, target=target,
     )
@@ -293,6 +292,7 @@ def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> 
         raise ValueError("exponent vectors longer than the dimension")
     if any(v < 0 for v in a + b):
         raise ValueError("exponents must be nonnegative")
+    quotas = _mc_quotas(n, samples, threads)
     l = len(a)
     wa = sum(jj * v for jj, v in enumerate(a, start=1))
     wb = sum(jj * v for jj, v in enumerate(b, start=1))
@@ -311,7 +311,7 @@ def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> 
                 acc *= np.conj(e[:, jj]) ** b[jj - 1]
         return acc
 
-    return _mc_mean(n, l, samples, seed, threads, values, complex_valued=True, target=target)
+    return _mc_mean(n, l, quotas, seed, values, complex_valued=True, target=target)
 
 
 def truncated_poly_moment_mc(
@@ -329,6 +329,7 @@ def truncated_poly_moment_mc(
     z = complex(z)
     if not abs(abs(z) - 1.0) <= 1e-12:  # written so that a NaN |z| fails it too
         raise ValueError(f"|z| = {abs(z)!r} is not on the unit circle")
+    quotas = _mc_quotas(n, samples, threads)
     target = counting.count_pseudomagic(k, l) if n >= l * k else None
     weights = np.array([z ** (n - j) * (-1) ** j for j in range(l + 1)], dtype=np.complex128)
 
@@ -340,7 +341,7 @@ def truncated_poly_moment_mc(
             acc += weights[j] * e[:, j]
         return np.abs(acc) ** (2 * k)
 
-    return _mc_mean(n, l, samples, seed, threads, values, complex_valued=False, target=target)
+    return _mc_mean(n, l, quotas, seed, values, complex_valued=False, target=target)
 
 
 def _check_exact_k(k: int) -> None:

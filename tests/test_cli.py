@@ -237,19 +237,35 @@ class TestJsonDiscipline:
 
 
 class TestExitCodes:
-    def test_usage_error_is_2(self):
+    @pytest.mark.parametrize("argv,text", [
+        (["count", "magic", "--k", "3"], "the following arguments are required: --j"),
+        (["count", "contingency", "--rows=", "--cols", "1"],
+         "argument --rows: expected a comma-separated integer list"),
+        (["count", "contingency", "--rows=1,x", "--cols", "1"],
+         "argument --rows: invalid literal for int()"),
+    ], ids=["missing-flag", "empty-list", "not-int-list"])
+    def test_usage_error_is_2(self, capsys, argv, text):
         with pytest.raises(SystemExit) as exc:
-            main(["count", "magic", "--k", "3"])  # missing --j
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == 2 and text in capsys.readouterr().err
 
     def test_unknown_command_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])
         assert exc.value.code == 2
 
-    def test_domain_error_is_2(self, capsys):
-        rc, _, err = run_cli(["count", "magic", "--k", "0", "--j", "1"], capsys)
-        assert rc == 2 and "error" in err
+    @pytest.mark.parametrize("cmd,text", [
+        (["count", "magic", "--k", "0", "--j", "1"], "matrix shape must be positive"),
+        (["rmt", "moment", "--j", "1", "--k", "0", "--n", "3", "--samples", "10"],
+         "k must be positive"),
+        (["rmt", "truncated", "--l", "1", "--k", "0", "--n", "3", "--samples", "10"],
+         "k must be positive"),
+        (["rmt", "exact", "--n", "3", "--k", "-1"], "k must be nonnegative"),
+        (["zeta", "mv", "--k", "2"], "give either --x or --bounds"),
+        (["zeta", "profile", "--k", "2"], "give either --x or --bounds"),
+    ], ids=["magic-k", "moment-k", "truncated-k", "exact-k", "mv-no-x", "profile-no-x"])
+    def test_domain_error_is_2(self, capsys, cmd, text):
+        assert run_cli(cmd, capsys) == (2, "", f"error: {text}\n")
 
     def test_budget_error_is_3(self, capsys):
         rc, _, err = run_cli(["zeta", "profile", "--k", "3", "--x", "1000", "--budget", "100"], capsys)
@@ -317,9 +333,19 @@ class TestExitCodes:
         (["rmt", "exact", "--n", "10", "--k", "1000"], "k = 300"),
         (["rmt", "moment", "--j", "1", "--k", "1", "--n", "2440", "--samples", "16384",
           "--threads", "4"], "5000000000"),
+        # over a ceiling and with an exact target or weight list that takes seconds or more
+        (["rmt", "moment", "--j", "40", "--k", "8", "--n", "100000", "--samples", "1000"],
+         "10000000"),
+        (["rmt", "truncated", "--l", "20", "--k", "6", "--n", "100000", "--samples", "1000"],
+         "10000000"),
+        (["rmt", "mixed", "--a", "0,0,0,0,0,0,0,8", "--b", "0,0,0,0,0,0,0,8", "--n", "100000",
+          "--samples", "1000"], "10000000"),
+        (["rmt", "truncated", "--l", "3000000", "--k", "1", "--n", "3000000", "--samples", "1"],
+         "5000000000"),
     ], ids=["prime-limit", "haar-n", "secular-n", "mc-buffer", "quadrature-grid",
             "predict-k", "magic-k", "pseudomagic-k", "sym-even-bounded-k", "gfactor-k",
-            "exact-k", "mc-time"])
+            "exact-k", "mc-time", "moment-target", "truncated-target", "mixed-target",
+            "truncated-weights"])
     def test_fixed_ceiling_is_3(self, capsys, cmd, limit):
         t0 = time.perf_counter()
         rc, out, err = run_cli(cmd, capsys)
@@ -403,11 +429,19 @@ class TestExitCodes:
          "--threads", "2"],
         ["zeta", "integrate", "--k", "1000", "--x", "2", "--t-max", "1", "--steps", "4"],
         ["zeta", "integrate", "--k", "1" + "0" * 20, "--x", "2", "--t-max", "1", "--steps", "4"],
-    ], ids=["moment", "mixed", "truncated", "integrate", "integrate-huge-k"])
+        # the exact mean value over a leading term that is 0 at X = 1
+        ["zeta", "ladder", "--k", "1", "--x-list", "1"],
+        ["zeta", "ladder", "--k", "2", "--x-list", "1"],
+        # one sample has zero spread, so its z-score is infinite
+        ["rmt", "moment", "--j", "1", "--k", "1", "--n", "1", "--samples", "1"],
+    ], ids=["moment", "mixed", "truncated", "integrate", "integrate-huge-k", "ladder-k1",
+            "ladder-k2", "moment-one-sample"])
     def test_non_finite_result_is_3(self, capsys, cmd, mode):
         # inf or nan is no value (nor valid JSON); numpy's overflow warnings stay unprinted
         rc, out, err = run_cli(mode + cmd, capsys)
-        assert rc == 3 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert rc == 3 and out == ""
+        assert re.fullmatch(r"error: \w+ \S+ is not finite: the result is past the float range\n",
+                            err)
 
     @pytest.mark.parametrize("cmd,family", [
         (["count", "magic", "--k", "0", "--j", "1"], "magic"),
@@ -627,6 +661,14 @@ HELP_LISTS = [
 ]
 
 
+def _strict_json(text):
+    """Parse a JSON document, refusing the Infinity, -Infinity and NaN that json.dumps writes."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestSurface:
     def test_every_leaf_listed_once(self):
         leaves = [" ".join(argv[:2]) for argv, *_ in LEAVES]
@@ -637,7 +679,7 @@ class TestSurface:
     def test_leaf(self, capsys, argv, keys, plain, doc):
         rc, out, err = run_cli(["--json"] + argv, capsys)
         assert rc == 0 and err == ""
-        assert sorted(json.loads(out)["metadata"]) == keys.split()
+        assert sorted(_strict_json(out)["metadata"]) == keys.split()
         if doc is not None:
             command = json.dumps(" ".join(["--json"] + argv))
             assert out == '{"command": ' + command + ", " + doc[1:] + "\n"

@@ -82,6 +82,10 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate([(0, 1)], 1)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            interpolate([(0, 1)], -1)
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             interpolate([(0, 1), (0, 2), (1, 3)], 2)

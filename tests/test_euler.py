@@ -15,9 +15,17 @@ from pseudomagic.euler import (
     MAX_PRIME_LIMIT,
     arithmetic_factor_a,
     arithmetic_factor_b,
-    dk_prime_power,
     primes_up_to,
 )
+
+
+def dk_prime_power(k: int, j: int) -> int:
+    """Number of ordered factorizations of p^j into k factors: binom(j+k-1, k-1)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    return comb(j + k - 1, k - 1)
 
 
 def _local_a_ref(k, p):
