@@ -15,14 +15,16 @@ The Monte Carlo never forms a matrix.  The eigenvalues of a Haar unitary are
 distributed as those of a CMV matrix with independent Verblunsky
 coefficients (Killip-Nenciu): ``|alpha_k|^2 ~ Beta(1, n-k-1)`` with a
 uniform phase for k < n-1, and ``alpha_{n-1}`` uniform on the circle.  The
-Szego recursion turns them into det(z - U) in O(n^2) per sample.  The QR
-route is the tests' independent reference for the Monte Carlo.
+Szego recursion turns them into the coefficients e_0..e_jmax of det(z - U) in
+O(n jmax) per sample after a 2(jmax+1)-step prefix.  The QR route is the
+tests' independent reference for the Monte Carlo.
 
 Fixed ceilings refuse, with BudgetError, what would not fit or not finish:
 MAX_HAAR_ENTRIES bounds a drawn unitary and one Monte Carlo worker's
 coefficient buffer, MAX_MC_COST bounds a Monte Carlo run's (n+1)^2 * samples
-Szego steps, MAX_SECULAR_N bounds the O(n^4) power-trace route, and
-MAX_EXACT_K bounds k for the exact rationals, whose size grows as k^2 log k.
+Szego steps (a conservative count, since the recursion is banded),
+MAX_SECULAR_N bounds the O(n^4) power-trace route, and MAX_EXACT_K bounds k
+for the exact rationals, whose size grows as k^2 log k.
 
 numpy is imported inside the functions that draw, multiply or sample, not at
 module level, so the exact rationals (``full_poly_moment_exact``,
@@ -36,6 +38,7 @@ seed sequence and partial sums are reduced in worker order, so a fixed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial, prod, sqrt
 from typing import TYPE_CHECKING
@@ -51,7 +54,8 @@ DEFAULT_BATCH = 4096
 # The same ceiling bounds one Monte Carlo worker's (n+1)-by-batch coefficient buffer.
 MAX_HAAR_ENTRIES = 10**7
 # Monte Carlo cost in Szego steps, (n+1)^2 * samples: about a minute single-threaded
-# at the slowest rate measured on 2 AMD EPYC CPUs, 8.5e7 steps/s at n = 2.
+# at the slowest rate measured on 2 AMD EPYC CPUs, 8.5e7 steps/s at n = 2.  The banded
+# recursion does O(n jmax) work per sample, so (n+1)^2 is now a conservative bound.
 MAX_MC_COST = 5 * 10**9
 # secular_coefficients forms n matrix powers, O(n^4): 2.1 s at this size on 2 Xeon CPUs.
 MAX_SECULAR_N = 400
@@ -145,19 +149,38 @@ def secular_coefficients(m: np.ndarray) -> np.ndarray:
     return e[:, 0]
 
 
+@cache
+def _phase_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(2 pi i h / 2^b) for the three digits of a 32-bit phase, b = 11, 22 and 32,
+    built on first use.  Angles are reduced to the first quarter turn, where cos and
+    sin are accurate, and rotated by exact powers of i."""
+    import numpy as np
+
+    tables = []
+    for bits, size in ((11, 2048), (22, 2048), (32, 1024)):
+        h = np.arange(size)
+        angle = 2 * np.pi * ((h & ((1 << (bits - 2)) - 1)) / 2.0**bits)
+        quarter = np.array([1, 1j, -1, -1j])[h >> (bits - 2)]
+        tables.append((np.cos(angle) + 1j * np.sin(angle)) * quarter)
+    return tuple(tables)
+
+
 def _verblunsky_batch(rng: np.random.Generator, batch: int, n: int) -> np.ndarray:
     """Verblunsky coefficients of CUE(n), one column per sample (Killip-Nenciu):
     |alpha_k|^2 ~ Beta(1, n-k-1), drawn by inversion, for k < n-1 and
-    |alpha_{n-1}| = 1, each with a uniform phase."""
+    |alpha_{n-1}| = 1.  Each phase is e^(2 pi i u / 2^32) for a uniform uint32 u,
+    the exact uniform law on 2^32 equally spaced angles, formed as the product of
+    three table entries indexed by u's top 11, middle 11 and low 10 bits."""
     import numpy as np
 
-    radius = np.ones((n, batch))
     shape = np.arange(n - 1, 0, -1)[:, None]  # n-k-1 for k = 0..n-2
-    radius[:-1] = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, batch))) / shape))
-    phase = 2 * np.pi * rng.random((n, batch))
-    alpha = np.empty((n, batch), dtype=np.complex128)
-    alpha.real = radius * np.cos(phase)  # cos and sin: a third of the cost of a complex exp
-    alpha.imag = radius * np.sin(phase)
+    radius = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, batch))) / shape))
+    u = rng.integers(0, 2**32, size=(n, batch), dtype=np.uint32)
+    hi, mid, lo = _phase_tables()
+    # the two small rotations first: within 3.5e-16 of the true phase, against 4.6e-16
+    # for (hi * mid) * lo, over 10^6 draws
+    alpha = hi[u >> 21] * (mid[(u >> 10) & 0x7FF] * lo[u & 0x3FF])
+    alpha[:-1] *= radius
     return alpha
 
 
@@ -168,17 +191,28 @@ def _szego(alpha: np.ndarray, jmax: int) -> np.ndarray:
     Runs Phi_{k+1}(z) = z Phi_k(z) - conj(alpha_k) Phi_k^*(z) on coefficients
     stored from the leading one down, where z Phi_k has the same coefficients
     and Phi_k^* is their conjugated reverse; then e_j = (-1)^j [z^(n-j)] Phi_n.
+    The head of Phi_{k+1} (its w = jmax+1 leading coefficients) and its tail (its
+    w lowest) read only the head and the tail of Phi_k, so from degree 2w on the
+    update skips the middle rows: O(n jmax) per sample after an O(jmax^2) prefix,
+    with the same products as the full update, so the same bits.
     Coefficient-major storage keeps each update on contiguous rows of samples.
     """
     import numpy as np
 
     n, batch = alpha.shape
+    w = jmax + 1
     phi = np.zeros((n + 1, batch), dtype=np.complex128)
     phi[0] = 1.0
     calpha = np.conj(alpha)
-    for k in range(n):
+    for k in range(min(n, 2 * w)):
         phi[1 : k + 2] -= calpha[k] * np.conj(phi[k::-1])
-    e = phi[: jmax + 1]
+    for k in range(2 * w, n):
+        # both products before either write: the head reads rows the tail rewrites
+        head = calpha[k] * np.conj(phi[k : k - w + 1 : -1])
+        tail = calpha[k] * np.conj(phi[w - 1 :: -1])
+        phi[1:w] -= head
+        phi[k + 2 - w : k + 2] -= tail
+    e = phi[:w]
     e[1::2] *= -1
     return e.T
 

@@ -432,8 +432,9 @@ class TestExitCodes:
         # the exact mean value over a leading term that is 0 at X = 1
         ["zeta", "ladder", "--k", "1", "--x-list", "1"],
         ["zeta", "ladder", "--k", "2", "--x-list", "1"],
-        # one sample has zero spread, so its z-score is infinite
-        ["rmt", "moment", "--j", "1", "--k", "1", "--n", "1", "--samples", "1"],
+        # one sample has zero spread, so its z-score is infinite (n = 2: at n = 1,
+        # |e_1| = 1 and the deviation is rounding alone, often exactly 0)
+        ["rmt", "moment", "--j", "1", "--k", "1", "--n", "2", "--samples", "1"],
     ], ids=["moment", "mixed", "truncated", "integrate", "integrate-huge-k", "ladder-k1",
             "ladder-k2", "moment-one-sample"])
     def test_non_finite_result_is_3(self, capsys, cmd, mode):
@@ -628,22 +629,22 @@ LEAVES = [
      '0.0447322383495021], [0.448012725172631, -0.894027179722962]]}'),
     (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "3",
       "--threads", "2"], "j k n seed threads",
-     "mean=1.2047582683805 stderr=0.175159 samples=50 target=1 z=1.17\n",
+     "mean=0.681429174091662 stderr=0.0776568 samples=50 target=1 z=4.1\n",
      '{"metadata": {"j": 1, "k": 1, "n": 3, "seed": 3, "threads": 2}, "value": {"mean": '
-     '1.2047582683805, "samples": 50, "stderr": 0.175159398498035, "target": 1, "z": '
-     '1.16898248187805}}'),
+     '0.681429174091662, "samples": 50, "stderr": 0.077656753695007, "target": 1, "z": '
+     '4.10229388624084}}'),
     (["rmt", "mixed", "--a", "1", "--b", "0", "--n", "3", "--samples", "50", "--seed", "4"],
      "a b n seed threads",
-     "mean=-0.165938952317071-0.0492549949033197j stderr=0.145435 samples=50 target=0 z=1.19\n",
+     "mean=-0.11932986504788-0.0458092656272983j stderr=0.148236 samples=50 target=0 z=0.862\n",
      '{"metadata": {"a": [1], "b": [0], "n": 3, "seed": 4, "threads": 1}, "value": {"mean": '
-     '[-0.165938952317071, -0.0492549949033197], "samples": 50, "stderr": 0.145434563611511, '
-     '"target": 0, "z": 1.1901898679056}}'),
+     '[-0.11932986504788, -0.0458092656272983], "samples": 50, "stderr": 0.148236497237074, '
+     '"target": 0, "z": 0.862274819682323}}'),
     (["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "5",
       "--z-angle", "0.5"], "k l n seed threads z_angle",
-     "mean=1.67992761154639 stderr=0.272328 samples=50 target=2 z=1.18\n",
+     "mean=1.64610103977766 stderr=0.21138 samples=50 target=2 z=1.67\n",
      '{"metadata": {"k": 1, "l": 1, "n": 3, "seed": 5, "threads": 1, "z_angle": 0.5}, "value": '
-     '{"mean": 1.67992761154639, "samples": 50, "stderr": 0.272328191537805, "target": 2, "z": '
-     '1.17531859865921}}'),
+     '{"mean": 1.64610103977766, "samples": 50, "stderr": 0.211380224821661, "target": 2, "z": '
+     '1.67422927343803}}'),
     (["rmt", "exact", "--n", "20", "--k", "2"], "k n", "19481\n",
      '{"metadata": {"k": 2, "n": 20}, "value": "19481"}'),
     (["rmt", "gfactor", "--k", "2"], "k", "1/12\n",

@@ -1,16 +1,19 @@
 """Haar sampling, secular coefficients, Monte Carlo moments, exact constants."""
 
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
+from mpmath import expjpi, mpf, workprec
 
+from pseudomagic.counting import count_pseudomagic
 from pseudomagic.errors import MAX_THREADS, BudgetError
 from pseudomagic.rmt import (
     MAX_EXACT_K,
     MAX_HAAR_ENTRIES,
     MAX_SECULAR_N,
+    _phase_tables,
     _szego,
     _verblunsky_batch,
     full_poly_moment_exact,
@@ -104,7 +107,27 @@ def _cmv(alpha):
     )
 
 
+def _szego_full(alpha, jmax):
+    """The full O(n^2) Szego update over every coefficient, the reference for the banded one."""
+    n, batch = alpha.shape
+    phi = np.zeros((n + 1, batch), dtype=np.complex128)
+    phi[0] = 1.0
+    calpha = np.conj(alpha)
+    for k in range(n):
+        phi[1 : k + 2] -= calpha[k] * np.conj(phi[k::-1])
+    e = phi[: jmax + 1]
+    e[1::2] *= -1
+    return e.T
+
+
 class TestVerblunskyRecursion:
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_banded_is_bit_identical_to_full_update(self, n):
+        # the grid holds n = 2(jmax+1) - 1, 2(jmax+1) and 2(jmax+1) + 1 for every jmax
+        alpha = _verblunsky_batch(np.random.Generator(np.random.Philox(n)), 257, n)
+        for jmax in range(min(n, 4) + 1):
+            assert _szego(alpha, jmax).tobytes() == _szego_full(alpha, jmax).tobytes()
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_explicit_cmv_matrix(self, n):
         radii = [0.1, 0.7, 0.35, 0.9, 0.5, 0.2][: n - 1] + [1.0]
@@ -183,6 +206,39 @@ class TestExactConstants:
             full_poly_moment_exact(10, MAX_EXACT_K + 1)
 
 
+def _table_phase(u):
+    hi, mid, lo = _phase_tables()
+    return hi[u >> 21] * (mid[(u >> 10) & 0x7FF] * lo[u & 0x3FF])
+
+
+class TestPhaseTables:
+    def test_draw_is_the_table_phase_of_one_uint32(self):
+        # at n = 1 no radius is drawn, so the stream holds the phases' uint32s alone
+        u = np.random.Generator(np.random.Philox(14)).integers(0, 2**32, (1, 999), np.uint32)
+        alpha = _verblunsky_batch(np.random.Generator(np.random.Philox(14)), 999, 1)
+        assert alpha.tobytes() == _table_phase(u).tobytes()
+
+    def test_table_product_is_the_exact_phase(self):
+        edges = [0, 1, 2**10 - 1, 2**10, 2**21 - 1, 2**21, 2**31, 2**32 - 1]
+        u = np.concatenate([
+            np.array(edges, dtype=np.uint32),
+            np.random.default_rng(12).integers(0, 2**32, 10**5, dtype=np.uint32),
+        ])
+        phase = _table_phase(u)
+        # np.exp(2j * np.pi * u / 2**32) is itself up to 7e-16 off, so the reference is mpmath
+        with workprec(80):
+            exact = np.array([complex(expjpi(mpf(int(v)) / 2**31)) for v in u])
+        assert np.max(np.abs(phase - exact)) < 4e-16
+
+    def test_last_coefficient_is_uniform_on_the_circle(self):
+        draws = 10**6
+        alpha = _verblunsky_batch(np.random.Generator(np.random.Philox(13)), draws, 1)[0]
+        assert np.max(np.abs(np.abs(alpha) - 1)) <= 2 * np.finfo(float).eps
+        for m in (1, 2, 3):
+            # |alpha^m| = 1, so the mean's standard error is at most 1/sqrt(draws)
+            assert abs(np.mean(alpha**m)) * sqrt(draws) < 4
+
+
 class TestMonteCarloDriver:
     def test_reproducible_for_fixed_seed_and_threads(self):
         a = secular_abs_moment_mc(2, 1, 5, 4000, seed=5, threads=2)
@@ -216,6 +272,11 @@ class TestMonteCarloDriver:
         b = truncated_poly_moment_mc(3, 1, 6, np.exp(0.3j), 6000, seed=7, threads=2)
         assert a.mean == b.mean and a.stderr == b.stderr
 
+    def test_mixed_reproducible_for_fixed_seed_and_threads(self):
+        a = mixed_moment_mc((1, 1), (0, 1), 6, 6000, seed=7, threads=2)
+        b = mixed_moment_mc((1, 1), (0, 1), 6, 6000, seed=7, threads=2)
+        assert a.mean == b.mean and a.stderr == b.stderr
+
     def test_truncated_worker_counts_statistically_equivalent(self):
         a = truncated_poly_moment_mc(2, 1, 6, 1.0, 20000, seed=5, threads=1)
         b = truncated_poly_moment_mc(2, 1, 6, 1.0, 20000, seed=5, threads=3)
@@ -245,6 +306,12 @@ class TestSecularMoments:
     def test_first_coefficient_fourth_moment(self):
         est = secular_abs_moment_mc(1, 2, 4, 30000, seed=103)
         assert est.target == 2
+        assert est.z_score() < 4
+
+    def test_law_where_the_banded_recursion_runs(self):
+        # n = 24 is far past the 2(jmax+1) = 8 rows of the full prefix
+        est = secular_abs_moment_mc(3, 1, 24, 200000, seed=110)
+        assert est.target == 1
         assert est.z_score() < 4
 
     def test_below_threshold_has_no_target(self):
@@ -315,6 +382,11 @@ class TestTruncatedMoments:
         values = [abs(_szego(_verblunsky_batch(rng, b, n), l) @ w) ** (2 * k)
                   for b in (4096, samples - 4096)]
         assert est.mean == pytest.approx(np.concatenate(values).mean(), rel=1e-12)
+
+    def test_law_where_the_banded_recursion_runs(self):
+        est = truncated_poly_moment_mc(2, 1, 20, np.exp(0.4j), 200000, seed=111)
+        assert est.target == count_pseudomagic(1, 2)
+        assert est.z_score() < 4
 
     def test_below_threshold_has_no_target(self):
         est = truncated_poly_moment_mc(3, 2, 4, 1.0, 100, seed=1)
