@@ -1,4 +1,4 @@
-"""Shared exception types and the worker-thread bound."""
+"""Exception types, the worker-thread bound and the worker map for Monte Carlo and quadrature."""
 
 # Ceiling on worker threads for Monte Carlo and quadrature: fixed, not the
 # host's CPU count, so the same call is valid on every machine.
@@ -17,3 +17,14 @@ def check_threads(threads: int) -> None:
     """Reject a worker-thread count outside 1..MAX_THREADS with ValueError (CLI exit 2)."""
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
+
+
+def run_workers(work, workers: int) -> list:
+    """[work(0), ..., work(workers - 1)] in that order, on a thread pool only when
+    workers > 1; the first exception in worker order propagates."""
+    if workers == 1:
+        return [work(0)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, range(workers)))

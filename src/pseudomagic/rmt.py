@@ -30,9 +30,11 @@ numpy is imported inside the functions that draw, multiply or sample, not at
 module level, so the exact rationals (``full_poly_moment_exact``,
 ``g_factor``) run without loading it.
 
-Monte Carlo runs are reproducible: worker w draws from the w-th spawn of the
-seed sequence and partial sums are reduced in worker order, so a fixed
-(seed, threads) pair gives bit-identical estimates.
+Every Monte Carlo run goes through ``_mc_mean`` in one order: the checks, then
+the exact target, then the workers, so a refused run neither counts its target
+nor builds anything from its arguments.  Worker w draws from the w-th spawn of
+the seed sequence and partial sums are reduced in worker order, so a fixed
+(seed, threads) pair gives bit-identical estimates, real when the values are.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import comb, factorial, prod, sqrt
 from typing import TYPE_CHECKING
 
 from . import counting
-from .errors import BudgetError, check_threads
+from .errors import BudgetError, check_threads, run_workers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,17 +219,19 @@ def _szego(alpha: np.ndarray, jmax: int) -> np.ndarray:
     return e.T
 
 
-def _mc_quotas(n: int, samples: int, threads: int) -> list[int]:
-    """Each worker's sample quota for a Monte Carlo run at dimension n.
+def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
+             value_fn, target) -> MomentEstimate:
+    """Mean of value_fn over `samples` Haar draws at dimension n: the checks, then
+    ``target()`` (the exact value or None, with no budget of its own), then the workers.
 
-    Refused with BudgetError when one worker's (n+1)-by-batch buffer would hold
-    more than MAX_HAAR_ENTRIES entries or the run would take more than
-    MAX_MC_COST Szego steps.  Each estimator asks for its quotas after its own
-    argument checks and before its exact target, which has no budget of its own.
+    value_fn maps a (batch, jmax+1) coefficient block to one value per sample;
+    the mean is real when the values are.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     check_threads(threads)
+    if n < 1:
+        raise ValueError("n must be positive")
     threads = min(threads, samples)
     q, r = divmod(samples, threads)
     quotas = [q + 1] * r + [q] * (threads - r)
@@ -242,52 +246,28 @@ def _mc_quotas(n: int, samples: int, threads: int) -> list[int]:
             f"Monte Carlo of {samples} samples at n = {n} takes (n+1)^2 * samples = "
             f"{(n + 1) ** 2 * samples} Szego steps, above the ceiling of {MAX_MC_COST}"
         )
-    return quotas
-
-
-def _mc_mean(
-    n: int, jmax: int, quotas: list[int], seed: int, value_fn, complex_valued: bool, target
-) -> MomentEstimate:
-    """Deterministic parallel Monte Carlo run over the quotas of _mc_quotas.
-
-    value_fn maps a (batch, jmax+1) coefficient block to one value per sample.
-    Each worker owns a spawned RNG substream and a fixed quota; partial sums
-    are combined in worker order, so results depend only on (seed, threads).
-    """
-    from concurrent.futures import ThreadPoolExecutor
+    exact = target()
 
     import numpy as np
 
-    samples, threads = sum(quotas), len(quotas)
     streams = np.random.SeedSequence(seed).spawn(threads)
 
     def work(w: int):
         rng = np.random.Generator(np.random.Philox(streams[w]))
-        s1 = 0.0 + 0.0j
-        s2 = 0.0
+        s1 = s2 = 0.0
         left = quotas[w]
         while left:
             b = min(DEFAULT_BATCH, left)
             values = value_fn(_szego(_verblunsky_batch(rng, b, n), jmax))
-            s1 += complex(np.sum(values))
+            s1 += np.sum(values).item()
             s2 += float(np.sum(np.abs(values) ** 2))
             left -= b
         return s1, s2
 
-    if threads == 1:
-        parts = [work(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = [f.result() for f in [pool.submit(work, w) for w in range(threads)]]
-
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / samples
-    var = max(s2 / samples - abs(mean) ** 2, 0.0)
-    stderr = sqrt(var / samples)
-    if not complex_valued:
-        mean = mean.real
-    return MomentEstimate(mean=mean, stderr=stderr, samples=samples, target=target)
+    parts = run_workers(work, threads)
+    mean = sum(p[0] for p in parts) / samples
+    var = max(sum(p[1] for p in parts) / samples - abs(mean) ** 2, 0.0)
+    return MomentEstimate(mean=mean, stderr=sqrt(var / samples), samples=samples, target=exact)
 
 
 def secular_abs_moment_mc(
@@ -298,12 +278,10 @@ def secular_abs_moment_mc(
         raise ValueError("need 1 <= j <= n")
     if k < 1:
         raise ValueError("k must be positive")
-    quotas = _mc_quotas(n, samples, threads)
-    target = counting.count_magic(k, j) if n >= j * k else None
     return _mc_mean(
-        n, j, quotas, seed,
+        n, j, samples, seed, threads,
         lambda e: abs(e[:, j]) ** (2 * k),
-        complex_valued=False, target=target,
+        lambda: counting.count_magic(k, j) if n >= j * k else None,
     )
 
 
@@ -326,26 +304,25 @@ def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> 
         raise ValueError("exponent vectors longer than the dimension")
     if any(v < 0 for v in a + b):
         raise ValueError("exponents must be nonnegative")
-    quotas = _mc_quotas(n, samples, threads)
-    l = len(a)
-    wa = sum(jj * v for jj, v in enumerate(a, start=1))
-    wb = sum(jj * v for jj, v in enumerate(b, start=1))
-    target = None
-    if n >= max(wa, wb):
+
+    def target():
+        # the weights first: the multisets have as many entries as the exponents sum to
+        if n < max(sum(jj * v for jj, v in enumerate(c, start=1)) for c in (a, b)):
+            return None
         mu = [jj for jj, v in enumerate(a, start=1) for _ in range(v)]
         nu = [jj for jj, v in enumerate(b, start=1) for _ in range(v)]
-        target = counting.count_contingency(mu, nu)
+        return counting.count_contingency(mu, nu)
 
     def values(e: np.ndarray) -> np.ndarray:
         acc = np.ones(e.shape[0], dtype=np.complex128)
-        for jj in range(1, l + 1):
-            if a[jj - 1]:
-                acc *= e[:, jj] ** a[jj - 1]
-            if b[jj - 1]:
-                acc *= np.conj(e[:, jj]) ** b[jj - 1]
+        for jj, (p, q) in enumerate(zip(a, b), start=1):
+            if p:
+                acc *= e[:, jj] ** p
+            if q:
+                acc *= np.conj(e[:, jj]) ** q
         return acc
 
-    return _mc_mean(n, l, quotas, seed, values, complex_valued=True, target=target)
+    return _mc_mean(n, len(a), samples, seed, threads, values, target)
 
 
 def truncated_poly_moment_mc(
@@ -363,11 +340,10 @@ def truncated_poly_moment_mc(
     z = complex(z)
     if not abs(abs(z) - 1.0) <= 1e-12:  # written so that a NaN |z| fails it too
         raise ValueError(f"|z| = {abs(z)!r} is not on the unit circle")
-    quotas = _mc_quotas(n, samples, threads)
-    target = counting.count_pseudomagic(k, l) if n >= l * k else None
-    weights = np.array([z ** (n - j) * (-1) ** j for j in range(l + 1)], dtype=np.complex128)
 
     def values(e: np.ndarray) -> np.ndarray:
+        # per batch, after _mc_mean's checks: O(l) against the batch's O(n l) Szego steps
+        weights = np.array([z ** (n - j) * (-1) ** j for j in range(l + 1)], dtype=np.complex128)
         # one scaled row per coefficient, not a BLAS product: OpenBLAS threads
         # that gemv at batch size, and its idle worker then spins on a core
         acc = weights[0] * e[:, 0]
@@ -375,7 +351,10 @@ def truncated_poly_moment_mc(
             acc += weights[j] * e[:, j]
         return np.abs(acc) ** (2 * k)
 
-    return _mc_mean(n, l, quotas, seed, values, complex_valued=False, target=target)
+    return _mc_mean(
+        n, l, samples, seed, threads, values,
+        lambda: counting.count_pseudomagic(k, l) if n >= l * k else None,
+    )
 
 
 def _check_exact_k(k: int) -> None:

@@ -12,9 +12,9 @@ Both exact routes hand their terms to one kernel, ``_exact_sum``: it sums each
 run of 64 terms in integers over the lcm of the run's denominators, then adds
 the runs' fractions pairwise, so a gcd is taken once per run, not per term.
 
-Only the direct integrator needs numpy and a thread pool: ``numeric_moment``
-and its grid kernel import them when they run, so the exact mean values and
-the predictions run without loading numpy.
+Only the direct integrator needs numpy and worker threads: ``numeric_moment``
+imports numpy when it runs and ``errors.run_workers`` its thread pool, so the
+exact mean values and the predictions run without loading either.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from . import euler
 from .ehrhart import CountingPolynomial, evaluate_real, pseudomagic_polynomial
-from .errors import BudgetError, check_threads
+from .errors import BudgetError, check_threads, run_workers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -154,8 +154,6 @@ def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> F
 
 def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarray:
     """|sum_{n<=x} n^(-1/2) exp(-i t log n)|^(2k) on the given grid, chunked to bound memory."""
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
     n = np.arange(1, x + 1, dtype=np.float64)
@@ -163,25 +161,19 @@ def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarra
     amps = (n ** -0.5).astype(np.complex128)
     out = np.empty(t.shape[0], dtype=np.float64)
     chunk = max(1, (1 << 21) // max(x, 1))
+    edges = np.linspace(0, t.shape[0], threads + 1).astype(int)
 
-    def fill(lo: int, hi: int):
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
+    def fill(w: int):
+        # worker w fills its own contiguous slice; the values do not depend on
+        # the thread count, only the wall time does
+        for a in range(edges[w], edges[w + 1], chunk):
+            b = min(a + chunk, edges[w + 1])
             # einsum without `optimize` never calls BLAS: OpenBLAS threads this
             # gemv, and its idle worker then spins on a core
             s = np.einsum("ij,j->i", np.exp(-1j * t[a:b, None] * logs[None, :]), amps)
             out[a:b] = np.abs(s) ** (2 * k)
 
-    if threads == 1:
-        fill(0, t.shape[0])
-    else:
-        # disjoint contiguous slices per worker; values are identical
-        # regardless of the thread count, only wall time changes
-        edges = np.linspace(0, t.shape[0], threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fill, edges[w], edges[w + 1]) for w in range(threads)]
-            for f in futures:
-                f.result()
+    run_workers(fill, threads)
     return out
 
 
@@ -242,7 +234,9 @@ def prediction(k: int, x, a_k: float, gpoly: CountingPolynomial):
         raise ValueError("k must be positive")
     if not -inf < x < inf:  # false for NaN too; an int x of any size passes
         raise ValueError("x must be finite")
-    logx = log(x)  # ValueError unless x > 0
+    if x <= 0:
+        raise ValueError(f"x must be positive, got {x!r}")
+    logx = log(x)
     full = a_k * evaluate_real(gpoly, logx)
     leading = a_k * float(gpoly.leading_coefficient) * logx ** (k * k)
     return full, leading

@@ -263,7 +263,12 @@ class TestExitCodes:
         (["rmt", "exact", "--n", "3", "--k", "-1"], "k must be nonnegative"),
         (["zeta", "mv", "--k", "2"], "give either --x or --bounds"),
         (["zeta", "profile", "--k", "2"], "give either --x or --bounds"),
-    ], ids=["magic-k", "moment-k", "truncated-k", "exact-k", "mv-no-x", "profile-no-x"])
+        (["rmt", "truncated", "--l", "0", "--k", "1", "--n", "0", "--samples", "5"],
+         "n must be positive"),
+        (["zeta", "predict", "--k", "1", "--x", "0", "--prime-limit", "100"],
+         "x must be positive, got 0.0"),
+    ], ids=["magic-k", "moment-k", "truncated-k", "exact-k", "mv-no-x", "profile-no-x",
+            "truncated-n", "predict-x"])
     def test_domain_error_is_2(self, capsys, cmd, text):
         assert run_cli(cmd, capsys) == (2, "", f"error: {text}\n")
 
@@ -342,10 +347,12 @@ class TestExitCodes:
           "--samples", "1000"], "10000000"),
         (["rmt", "truncated", "--l", "3000000", "--k", "1", "--n", "3000000", "--samples", "1"],
          "5000000000"),
+        (["rmt", "mixed", "--a", "1000000000", "--b", "1000000000", "--n", "100000",
+          "--samples", "1000"], "10000000"),
     ], ids=["prime-limit", "haar-n", "secular-n", "mc-buffer", "quadrature-grid",
             "predict-k", "magic-k", "pseudomagic-k", "sym-even-bounded-k", "gfactor-k",
             "exact-k", "mc-time", "moment-target", "truncated-target", "mixed-target",
-            "truncated-weights"])
+            "truncated-weights", "mixed-multisets"])
     def test_fixed_ceiling_is_3(self, capsys, cmd, limit):
         t0 = time.perf_counter()
         rc, out, err = run_cli(cmd, capsys)

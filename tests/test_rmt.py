@@ -1,5 +1,6 @@
 """Haar sampling, secular coefficients, Monte Carlo moments, exact constants."""
 
+import threading
 from fractions import Fraction as F
 from math import comb, factorial, sqrt
 
@@ -8,11 +9,12 @@ import pytest
 from mpmath import expjpi, mpf, workprec
 
 from pseudomagic.counting import count_pseudomagic
-from pseudomagic.errors import MAX_THREADS, BudgetError
+from pseudomagic.errors import MAX_THREADS, BudgetError, run_workers
 from pseudomagic.rmt import (
     MAX_EXACT_K,
     MAX_HAAR_ENTRIES,
     MAX_SECULAR_N,
+    _mc_mean,
     _phase_tables,
     _szego,
     _verblunsky_batch,
@@ -290,6 +292,47 @@ class TestMonteCarloDriver:
     def test_more_threads_than_samples(self):
         est = secular_abs_moment_mc(1, 1, 3, 2, seed=0, threads=8)
         assert est.samples == 2
+
+    @pytest.mark.parametrize("n,samples,error", [
+        (0, 5, ValueError), (-1, 5, ValueError), (10**6, 4096, BudgetError),
+        (2440, 16384, BudgetError),
+    ])
+    def test_checks_run_before_the_target(self, n, samples, error):
+        def target():
+            raise AssertionError("target computed before the checks")
+
+        with pytest.raises(error):
+            _mc_mean(n, 1, samples, 0, 1, None, target)
+
+    @pytest.mark.parametrize("estimate,text", [
+        (lambda: secular_abs_moment_mc(1, 1, 0, 5, seed=0), "need 1 <= j <= n"),
+        (lambda: mixed_moment_mc((1,), (1,), 0, 5, seed=0), "longer than the dimension"),
+        # l = 0 passes the estimator's own checks; the driver refuses n = 0
+        (lambda: truncated_poly_moment_mc(0, 1, 0, 1.0, 5, seed=0), "n must be positive"),
+    ], ids=["secular", "mixed", "truncated"])
+    def test_dimension_zero_refused(self, estimate, text):
+        with pytest.raises(ValueError) as exc:
+            estimate()
+        assert str(exc.value).endswith(text)
+
+    def test_mean_is_real_when_the_values_are(self):
+        assert type(secular_abs_moment_mc(1, 1, 3, 10, seed=0, threads=2).mean) is float
+        assert type(truncated_poly_moment_mc(1, 1, 3, 1.0, 10, seed=0).mean) is float
+        assert type(mixed_moment_mc((1,), (1,), 3, 10, seed=0, threads=2).mean) is complex
+
+    def test_run_workers_in_worker_order(self):
+        assert run_workers(lambda w: w * w, 5) == [0, 1, 4, 9, 16]
+        # one worker runs on the calling thread, with no pool
+        assert run_workers(lambda w: threading.get_ident(), 1) == [threading.get_ident()]
+
+    def test_run_workers_raises_the_first_failure_in_worker_order(self):
+        def work(w):
+            if w:
+                raise ValueError(f"worker {w}")
+            return w
+
+        with pytest.raises(ValueError, match="worker 1"):
+            run_workers(work, 3)
 
 
 class TestSecularMoments:

@@ -162,10 +162,9 @@ class TestNumericMoment:
         value, _ = numeric_moment(1, 2, 2e4, 4 * 10**5)
         assert value == pytest.approx(1.5, rel=1e-2)
 
-    def test_threads_reassociate_within_tolerance(self):
-        v1, _ = numeric_moment(1, 6, 500.0, 20000, threads=1)
-        v2, _ = numeric_moment(1, 6, 500.0, 20000, threads=3)
-        assert abs(v1 - v2) <= 1e-10 * abs(v1)
+    def test_values_do_not_depend_on_the_thread_count(self):
+        runs = [numeric_moment(1, 6, 500.0, 20000, threads=t) for t in (1, 2, 3, 7)]
+        assert runs[1:] == runs[:1] * 3
 
     def test_grid_matches_matrix_product_reference(self):
         t = np.linspace(0.0, 300.0, 5001)
