@@ -16,7 +16,12 @@ interchangeable).  ``count`` drives it column by column for contingency
 tables, where at-most sums become exact through slack lines: the margins
 are ``rows + (sum(cols),)`` and ``cols + (sum(rows),)``, the slack column
 taking each row's shortfall, the slack row each column's and the corner the
-total.  It drives it row by row for symmetric matrices, where index i
+total.  Columns go smallest first, and the two largest (the slack column of
+an at-most count among them) are not enumerated: a state with leftovers
+``r_1..r_m`` has ``[z^c] prod_i (1 + z + ... + z^r_i)`` completions, ``c``
+the smaller of the two sums, which ``_splits`` reads off in O(m c).  A
+single column admits exactly one table once the weights agree.  ``count``
+drives the allocation step row by row for symmetric matrices, where index i
 carries one sum: ``rows`` when exact (no matrix when ``rows != cols``), else
 ``min(rows_i, cols_i)``.  The diagonal takes what a row leaves: exactly,
 and even, when exact; any even value up to it when at most.
@@ -24,6 +29,7 @@ and even, when exact; any even value up to it when at most.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BudgetError
@@ -145,6 +151,25 @@ def _place(caps, t, weight, out):
         i += 1
 
 
+def _splits(caps, t) -> int:
+    """Ways to put ``t`` units into rows of capacity ``caps``: ``[z^t] prod_i (1 + z + ... + z^caps_i)``.
+
+    The rows then hold ``sum(caps) - t`` units of room, so this also counts the
+    ways to fill two columns with sums ``t`` and ``sum(caps) - t``.  The
+    coefficients are symmetric, so only the ``min(t, sum(caps) - t) + 1`` lowest
+    are kept; each row multiplies them by ``1 + ... + z^c``, a window sum read
+    off a running prefix sum, in O(len(caps) * t) additions.
+    """
+    t = min(t, sum(caps) - t)
+    if t < 0:
+        return 0
+    coef = [1] + [0] * t
+    for c in caps:
+        run = list(accumulate(coef))  # run[s]: coef[0] + ... + coef[s]
+        coef = run[: c + 1] + [b - a for a, b in zip(run, run[c + 1 :])]
+    return coef[t]
+
+
 def _count_symmetric(margins, diagonal_ways) -> int:
     """Symmetric matrices with line sums ``margins``, by a forward DP row by row.
 
@@ -178,7 +203,12 @@ def _index_sums(spec: MatrixCountSpec):
 
 
 def count(spec: MatrixCountSpec) -> int:
-    """Number of matrices satisfying ``spec`` by the forward DPs; ValueError if it is malformed."""
+    """Number of matrices satisfying ``spec`` by the forward DPs; ValueError if it is malformed.
+
+    A contingency table is filled column by column, smallest column first,
+    up to its two largest columns, whose completions ``_splits`` counts in
+    closed form for each state left.
+    """
     rows, cols, exact, symmetric = _checked(spec)
     if symmetric:
         margins = _index_sums(spec)
@@ -190,13 +220,15 @@ def count(spec: MatrixCountSpec) -> int:
     rows, cols = _parts(rows), _parts(cols)
     if sum(rows) != sum(cols):
         return 0
+    if len(cols) < 2:
+        return 1
     layer = {rows: 1}
-    for c in cols:
+    for c in cols[:1:-1]:  # smallest first; the two largest go to _splits
         nxt = {}
         for caps, w in layer.items():
             _place(caps, c, w, nxt)
         layer = nxt
-    return layer.get((), 0)
+    return sum(w * _splits(caps, cols[1]) for caps, w in layer.items())
 
 
 def count_contingency(rows, cols) -> int:

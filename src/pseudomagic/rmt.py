@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, prod, sqrt, ulp
 from typing import TYPE_CHECKING
 
 from . import counting
@@ -77,12 +77,17 @@ class MomentEstimate:
     target: object = None
 
     def z_score(self):
-        """Standardized distance |mean - target| / stderr; None without a target."""
+        """Standardized distance |mean - target| / stderr; None without a target.
+
+        With zero stderr, a deviation within 4 ulps of max(1, |target|) is
+        rounding (one sample of |e_1| = 1 at n = 1, say) and scores 0.0;
+        any larger one scores inf.
+        """
         if self.target is None:
             return None
         dev = abs(self.mean - self.target)
         if self.stderr == 0:
-            return 0.0 if dev == 0 else float("inf")
+            return 0.0 if dev <= 4 * ulp(max(1.0, abs(self.target))) else float("inf")
         return float(dev / self.stderr)
 
 

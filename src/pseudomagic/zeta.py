@@ -228,7 +228,8 @@ def prediction(k: int, x, a_k: float, gpoly: CountingPolynomial):
     substochastic volume times (log x)^(k^2).  The lower-order terms of the
     full prediction a_k * G_k(log x) are not asymptotically exact; for k=1 it
     is log x + 1, while the true mean value is H_x = log x + gamma + O(1/x).
-    x must be positive and finite (ValueError otherwise).
+    x must be finite and at least 1, as for the exact mean values, whose
+    partial sums are empty below 1 (ValueError otherwise).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -236,6 +237,8 @@ def prediction(k: int, x, a_k: float, gpoly: CountingPolynomial):
         raise ValueError("x must be finite")
     if x <= 0:
         raise ValueError(f"x must be positive, got {x!r}")
+    if x < 1:
+        raise ValueError(f"x must be at least 1, got {x!r}")
     logx = log(x)
     full = a_k * evaluate_real(gpoly, logx)
     leading = a_k * float(gpoly.leading_coefficient) * logx ** (k * k)

@@ -267,8 +267,10 @@ class TestExitCodes:
          "n must be positive"),
         (["zeta", "predict", "--k", "1", "--x", "0", "--prime-limit", "100"],
          "x must be positive, got 0.0"),
+        (["zeta", "predict", "--x", "0.5", "--k", "1", "--prime-limit", "100"],
+         "x must be at least 1, got 0.5"),
     ], ids=["magic-k", "moment-k", "truncated-k", "exact-k", "mv-no-x", "profile-no-x",
-            "truncated-n", "predict-x"])
+            "truncated-n", "predict-x", "predict-x-below-1"])
     def test_domain_error_is_2(self, capsys, cmd, text):
         assert run_cli(cmd, capsys) == (2, "", f"error: {text}\n")
 
@@ -450,6 +452,13 @@ class TestExitCodes:
         assert rc == 3 and out == ""
         assert re.fullmatch(r"error: \w+ \S+ is not finite: the result is past the float range\n",
                             err)
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_exactly_determined_estimate_is_0(self, capsys, seed):
+        # |e_1| = 1 exactly at n = 1: one sample has zero spread and a rounding-size deviation
+        cmd = ["rmt", "moment", "--j", "1", "--k", "1", "--n", "1", "--samples", "1", "--seed", seed]
+        rc, out, err = run_cli(cmd, capsys)
+        assert (rc, err) == (0, "") and out.endswith(" stderr=0 samples=1 target=1 z=0\n")
 
     @pytest.mark.parametrize("cmd,family", [
         (["count", "magic", "--k", "0", "--j", "1"], "magic"),

@@ -1,5 +1,6 @@
 """Exact matrix counts: hand-checked anchors, frozen oracle tables, DP-vs-brute grids."""
 
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -318,6 +319,61 @@ class TestSeriesAgreement:
         # a list of row limits against a tuple of equal column limits is one symmetric problem
         spec = MatrixCountSpec([2, 2], (2, 2), True, symmetric=True)
         assert count(spec) == series_count(spec) == brute_force_count(spec) == 2
+
+
+def _seeded_specs(seed=19, per_shape=4):
+    """Small specs of every shape the closed-form last two columns meet, drawn from ``seed``.
+
+    Exact margins are read off a random matrix with entries 0..2, so most
+    counts are positive; a zero line is forced in the shapes named for it.
+    """
+    rng = random.Random(seed)
+    out = []
+    shapes = [("1-col", 3, 1), ("2-col", 4, 2), ("1-row", 1, 4), ("3-col", 3, 3),
+              ("4-col", 2, 4), ("zero-line", 3, 3)]
+    for name, m, n in shapes:
+        for i in range(per_shape):
+            mat = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+            if name == "zero-line":
+                if i % 2:
+                    mat[rng.randrange(m)] = [0] * n
+                else:
+                    for row in mat:
+                        row[rng.randrange(n)] = 0
+            rows, cols = tuple(map(sum, mat)), tuple(map(sum, zip(*mat)))
+            out.append(pytest.param(MatrixCountSpec(rows, cols, True), id=f"{name}-exact-{i}"))
+            rows = tuple(rng.randint(0, 3) for _ in range(m))
+            cols = tuple(rng.randint(0, 3) for _ in range(n))
+            if name == "zero-line":
+                rows = (0,) + rows[1:]
+            out.append(pytest.param(MatrixCountSpec(rows, cols, False), id=f"{name}-at-most-{i}"))
+    for i in range(per_shape):
+        bounds = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        out.append(pytest.param(pseudomagic_multi_spec(bounds), id=f"multi-bound-{i}"))
+    return out
+
+
+class TestClosedFormColumns:
+    """``count`` drives the DP over all but the two largest columns and counts those in closed form."""
+
+    def test_splits_is_the_coefficient(self):
+        for m in range(5):
+            for caps in product(range(6), repeat=m):
+                sums = Counter(map(sum, product(*(range(c + 1) for c in caps))))
+                for t in range(-1, sum(caps) + 2):
+                    assert counting._splits(caps, t) == sums[t], (caps, t)
+
+    @pytest.mark.parametrize("spec", _seeded_specs())
+    def test_three_counters_agree(self, spec):
+        assert count(spec) == brute_force_count(spec) == series_count(spec)
+
+    @pytest.mark.parametrize("rows,cols", [([1] * 600, [300, 300]), ([300, 300], [1] * 600)],
+                             ids=["unit-rows", "unit-cols"])
+    def test_two_wide_columns(self, rows, cols):
+        # listing the ways to fill one column of 300 units would take C(600, 300) steps
+        t0 = time.perf_counter()
+        assert count_contingency(rows, cols) == comb(600, 300)
+        assert time.perf_counter() - t0 < 2
 
 
 class TestLargerExactness:

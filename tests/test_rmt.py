@@ -2,7 +2,7 @@
 
 import threading
 from fractions import Fraction as F
-from math import comb, factorial, sqrt
+from math import comb, factorial, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from pseudomagic.rmt import (
     MAX_EXACT_K,
     MAX_HAAR_ENTRIES,
     MAX_SECULAR_N,
+    MomentEstimate,
     _mc_mean,
     _phase_tables,
     _szego,
@@ -206,6 +207,31 @@ class TestExactConstants:
             g_factor(MAX_EXACT_K + 1)
         with pytest.raises(BudgetError, match=str(MAX_EXACT_K)):
             full_poly_moment_exact(10, MAX_EXACT_K + 1)
+
+
+class TestZScore:
+    @pytest.mark.parametrize("mean,target", [
+        (1.0, 1), (1 + 2 * ulp(1.0), 1), (1 - 4 * ulp(1.0), 1), (4 * ulp(1.0), 0),
+        (F(7, 2) + 4 * ulp(3.5), F(7, 2)), (1e6 - 4 * ulp(1e6), 10**6),
+    ])
+    def test_rounding_with_zero_stderr_scores_zero(self, mean, target):
+        # one exactly determined sample, such as |e_1| = 1 at n = 1, deviates by rounding alone
+        assert MomentEstimate(float(mean), 0.0, 1, target).z_score() == 0.0
+
+    @pytest.mark.parametrize("mean,target", [
+        (1 + 8 * ulp(1.0), 1), (5 * ulp(1.0), 0), (0.5, 1), (1e6 + 8 * ulp(1e6), 10**6),
+    ])
+    def test_real_deviation_with_zero_stderr_is_infinite(self, mean, target):
+        assert MomentEstimate(mean, 0.0, 1, target).z_score() == float("inf")
+
+    def test_positive_stderr_is_plain_ratio(self):
+        assert MomentEstimate(1 + 1e-15, 1e-16, 2, 1).z_score() == pytest.approx(10, rel=0.2)
+        assert MomentEstimate(1.0, 0.0, 1, None).z_score() is None
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_unit_modulus_sample_scores_zero(self, seed):
+        est = secular_abs_moment_mc(1, 1, 1, samples=1, seed=seed)
+        assert est.stderr == 0 and est.target == 1 and est.z_score() == 0.0
 
 
 def _table_phase(u):

@@ -1,5 +1,6 @@
 """Partial-sum mean values: profiles, exact sums, dual oracle, integrator, predictions."""
 
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -235,6 +236,19 @@ class TestPrediction:
                 prediction(k, x, 1.0, gpoly)
         full, _ = prediction(1, 10**400, 1.0, gpoly)
         assert full == pytest.approx(400 * log(10) + 1)
+
+    @pytest.mark.parametrize("x", [0.5, 0.999, F(1, 2)])
+    def test_x_below_one_refused(self, x):
+        # no n <= x < 1, so the partial sum is empty; the exact routes refuse it too
+        with pytest.raises(ValueError, match=re.escape(f"x must be at least 1, got {x!r}")):
+            prediction(1, x, 1.0, pseudomagic_polynomial(1))
+
+    def test_x_zero_keeps_its_message(self):
+        with pytest.raises(ValueError, match="x must be positive, got 0"):
+            prediction(1, 0, 1.0, pseudomagic_polynomial(1))
+
+    def test_x_one_is_the_constant_term(self):
+        assert prediction(1, 1, 1.0, pseudomagic_polynomial(1)) == (1.0, 0.0)
 
 
 class TestLadder:
