@@ -185,6 +185,8 @@ def _hvector(a):
 def _divisor_profile(a) -> zeta.DivisorProfile:
     if a.bounds is None and a.x is None:
         raise ValueError("give either --x or --bounds")
+    if a.bounds is not None and a.x is not None:
+        raise ValueError("give either --x or --bounds, not both")
     bounds = a.bounds if a.bounds is not None else a.x
     return zeta.divisor_profile(a.k, bounds, tuple_budget=a.tuple_budget)
 

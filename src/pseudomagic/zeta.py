@@ -8,9 +8,16 @@ enumeration over pairs of factorization tuples, approximates the time average
 numerically, and compares everything against the arithmetic-factor-times-
 count-polynomial prediction, whose quality improves only logarithmically.
 
-Both exact routes hand their terms to one kernel, ``_exact_sum``: it sums each
-run of 64 terms in integers over the lcm of the run's denominators, then adds
-the runs' fractions pairwise, so a gcd is taken once per run, not per term.
+The two exact routes share no summation code.  ``mv_pseudomoment`` sums by the
+structure of the profile.  With B the largest bound, a prime p above isqrt(B)
+and above every other bound divides a product at most once, and only through
+the B entry, so the terms divisible by p are the profile of a smaller bound
+tuple shifted by p.  The remaining terms and those smaller profiles are each
+one integer sum over a common denominator free of such primes, and the 1/p
+are joined by binary splitting, with one gcd in all.  ``pair_sum_oracle`` finds
+its equal-product pairs by hash join and sums their terms with
+``_exact_sum``, which adds each run of 64 terms in integers over the lcm of
+the run's denominators and then the runs' fractions pairwise.
 
 Only the direct integrator needs numpy and worker threads: ``numeric_moment``
 imports numpy when it runs and ``errors.run_workers`` its thread pool, so the
@@ -20,12 +27,14 @@ exact mean values and the predictions run without loading either.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iproduct
-from math import inf, lcm, log, prod
+from math import inf, isqrt, lcm, log, prod
+from operator import mul
 from typing import TYPE_CHECKING
 
 from . import euler
@@ -87,6 +96,16 @@ def _factored(bounds) -> str:
     return "*".join(f"{b}^{e}" if e > 1 else str(b) for b, e in sorted(Counter(bounds).items()))
 
 
+def _convolve(counts: dict, b: int) -> dict:
+    """One Dirichlet convolution step: counts times the indicator of 1..b, so
+    equal products merge as they form."""
+    nxt: dict = {}
+    for n, c in counts.items():
+        for m in range(n, n * b + 1, n):
+            nxt[m] = nxt.get(m, 0) + c
+    return nxt
+
+
 def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> DivisorProfile:
     """Exact restricted divisor counts: the Dirichlet convolution of the indicators of
     1..b_i, one factor at a time, so equal partial products are merged as they form."""
@@ -98,12 +117,83 @@ def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) ->
             raise BudgetError(f"{_factored(bounds)} tuples exceed the budget of {tuple_budget}")
     counts = {1: 1}
     for b in bounds:
-        nxt: dict = {}
-        for n, c in counts.items():
-            for m in range(n, n * b + 1, n):
-                nxt[m] = nxt.get(m, 0) + c
-        counts = nxt
+        counts = _convolve(counts, b)
     return DivisorProfile(k=k, bounds=bounds, counts=counts)
+
+
+def _top_power(p: int, b: int) -> int:
+    """The largest power of the prime p that is at most b (p <= b)."""
+    q = p
+    while q * p <= b:
+        q *= p
+    return q
+
+
+def _numerator(counts: dict, den: int) -> int:
+    """sum_n counts[n]^2 * (den // n), for a common multiple den of every n."""
+    cs = counts.values()
+    return sum(map(mul, map(mul, cs, cs), map(den.__floordiv__, counts)))
+
+
+def _split(terms: list) -> tuple:
+    """(sum_i a_i * D / d_i, D) for (a_i, d_i) pairs with pairwise coprime d_i, D = prod d_i.
+
+    Binary splitting: each pair of neighbours becomes (a*e + b*d, d*e), so the
+    operands of every product stay comparable in size and no gcd is taken.
+    """
+    while len(terms) > 1:
+        nxt = [(a * e + b * d, d * e) for (a, d), (b, e) in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            nxt.append(terms[-1])
+        terms = nxt
+    return terms[0]
+
+
+def mv_pseudomoment(profile: DivisorProfile) -> Fraction:
+    """Exact mean value sum_n counts[n]^2 / n of the squared profile.
+
+    Let B be the largest bound and b' the largest of the others (0 when k = 1).
+    A prime p > max(isqrt(B), b') is *simple*: a tuple whose product p divides
+    carries p exactly once, in its B entry, so dividing that entry by p is a
+    bijection and d_b(p*m) = d_{b*}(m), where b* has B replaced by q = B // p.
+    Hence
+
+        mv(b) = sum_{n free of simple primes} d_b(n)^2 / n
+                + sum_p mv(b*_{B // p}) / p   (p simple).
+
+    The first sum runs over ``profile.counts`` without the keys p*m.  It and
+    every mv(b*_q), each over its own profile, are single integer sums over
+    one common denominator, prod_i lcm(1..b_i) without the simple primes
+    (about 480 bits at X = 25 000, against 36 000 for lcm(1..X)).  The 1/p
+    have pairwise coprime denominators, so they are combined by binary
+    splitting, and the one gcd is the final Fraction's.  Tied largest bounds
+    have no simple prime, and the sum is the first term alone.  Sieves the
+    primes up to B, so B is capped at euler.MAX_PRIME_LIMIT (BudgetError
+    above it).
+    """
+    bounds = profile.bounds
+    top = max(bounds)
+    i = bounds.index(top)
+    rest = bounds[:i] + bounds[i + 1:]
+    primes = euler.primes_up_to(top)
+    cut = bisect_right(primes, max((isqrt(top), *rest)))
+    den = prod(_top_power(p, b) for b in rest for p in primes[: bisect_right(primes, b)])
+    den *= prod(_top_power(p, top) for p in primes[:cut])
+    simple = primes[cut:]
+    if not simple:
+        return Fraction(_numerator(profile.counts, den), den)
+    base = {1: 1}
+    for b in rest:
+        base = _convolve(base, b)
+    subs = {q: _convolve(base, q) for q in {top // p for p in simple}}
+    smooth = profile.counts.copy()
+    for p in simple:  # n = p*m for exactly one simple p and one m in the profile of b*_q
+        for m in subs[top // p]:
+            del smooth[p * m]
+    sub = {q: _numerator(counts, den) for q, counts in subs.items()}
+    terms = [(_numerator(smooth, den), 1)] + [(sub[top // p], p) for p in simple]
+    num, simple_prod = _split(terms)
+    return Fraction(num, den * simple_prod)
 
 
 def _exact_sum(terms) -> Fraction:
@@ -130,16 +220,15 @@ def _exact_sum(terms) -> Fraction:
     return work[0]
 
 
-def mv_pseudomoment(profile: DivisorProfile) -> Fraction:
-    """Exact mean value sum_n counts[n]^2 / n of the squared profile."""
-    return _exact_sum((d * d, n) for n, d in profile.counts.items())
-
-
 def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Fraction:
     """Direct enumeration over pairs of k-tuples with equal products; term 1/product each.
 
     Independent route to mv_pseudomoment: no squaring of counts, just raw
-    pairs, at O(x^(2k)) cost.
+    pairs.  The pairs are found by hash join: the x^k tuples are bucketed by
+    product, and each tuple emits one term per tuple in its own bucket, so
+    the cost is the x^k tuples plus the equal pairs, not all x^(2k) pairs.
+    The budget still counts all x^(2k) pairs.  The terms are summed by
+    ``_exact_sum``, which mv_pseudomoment does not use.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -149,7 +238,8 @@ def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> F
     if x ** min(2 * k, pair_budget.bit_length() + 1) > pair_budget:
         raise BudgetError(f"{x}^{2 * k} tuple pairs exceed the budget of {pair_budget}")
     prods = [prod(t) for t in iproduct(range(1, x + 1), repeat=k)]
-    return _exact_sum((1, p1) for p1 in prods for p2 in prods if p1 == p2)
+    buckets = Counter(prods)
+    return _exact_sum((1, p) for p in prods for _ in range(buckets[p]))
 
 
 def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarray:

@@ -263,6 +263,10 @@ class TestExitCodes:
         (["rmt", "exact", "--n", "3", "--k", "-1"], "k must be nonnegative"),
         (["zeta", "mv", "--k", "2"], "give either --x or --bounds"),
         (["zeta", "profile", "--k", "2"], "give either --x or --bounds"),
+        (["zeta", "mv", "--k", "1", "--x", "3", "--bounds", "4"],
+         "give either --x or --bounds, not both"),
+        (["zeta", "profile", "--k", "2", "--x", "3", "--bounds", "4,5"],
+         "give either --x or --bounds, not both"),
         (["rmt", "truncated", "--l", "0", "--k", "1", "--n", "0", "--samples", "5"],
          "n must be positive"),
         (["zeta", "predict", "--k", "1", "--x", "0", "--prime-limit", "100"],
@@ -270,7 +274,8 @@ class TestExitCodes:
         (["zeta", "predict", "--x", "0.5", "--k", "1", "--prime-limit", "100"],
          "x must be at least 1, got 0.5"),
     ], ids=["magic-k", "moment-k", "truncated-k", "exact-k", "mv-no-x", "profile-no-x",
-            "truncated-n", "predict-x", "predict-x-below-1"])
+            "mv-x-and-bounds", "profile-x-and-bounds", "truncated-n", "predict-x",
+            "predict-x-below-1"])
     def test_domain_error_is_2(self, capsys, cmd, text):
         assert run_cli(cmd, capsys) == (2, "", f"error: {text}\n")
 

@@ -4,7 +4,7 @@ import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import exp, log, prod
+from math import exp, isqrt, log, prod
 from random import Random
 
 import numpy as np
@@ -96,6 +96,53 @@ class TestMeanValue:
         assert mv_pseudomoment(divisor_profile(1, 10)) == F(7381, 2520)
 
 
+def _mv_per_term(bounds):
+    counts = divisor_profile(len(bounds), bounds).counts
+    return sum((F(d * d, n) for n, d in counts.items()), F(0))
+
+
+def _structured_grid():
+    """Bound tuples for k = 1..4: random ones with a strictly largest bound (simple
+    primes present) and with a tied largest bound (none present), bounds of 1,
+    and prime and prime-power bounds."""
+    rng = Random(22)
+    caps = {1: 2000, 2: 60, 3: 15, 4: 8}
+    grid = []
+    for k, cap in caps.items():
+        for _ in range(4):
+            rest = [rng.randint(1, cap - 1) for _ in range(k - 1)]
+            grid.append(tuple(rest + [rng.randint(max(rest, default=0) + 1, cap)]))
+            if k > 1:
+                top = rng.randint(2, cap)
+                rest = [rng.randint(1, top) for _ in range(k - 2)]
+                grid.append(tuple(rng.sample(rest + [top, top], k)))
+    grid += [(1,), (2,), (3,), (4,), (1, 1), (1, 9), (9, 1), (1, 1, 1, 1), (1, 1, 13, 1)]
+    grid += [(97,), (128,), (243,), (1024,), (49, 13), (7, 49), (32, 27), (27, 32),
+             (25, 25), (11, 13, 4), (8, 9, 5, 7)]
+    return grid
+
+
+class TestStructuredMeanValue:
+    @pytest.mark.parametrize("bounds", _structured_grid())
+    def test_matches_per_term_fractions(self, bounds):
+        assert mv_pseudomoment(divisor_profile(len(bounds), bounds)) == _mv_per_term(bounds)
+
+    @pytest.mark.parametrize("bounds", [(30,), (97,), (5, 40), (7, 3, 50), (2, 2, 2, 19)])
+    def test_simple_prime_shifts_the_profile(self, bounds):
+        # d_b(p*m) = d_{b*}(m), b* with the largest bound B replaced by B // p, for
+        # every prime p > max(isqrt(B), the other bounds); no other key carries p
+        top = max(bounds)
+        i = bounds.index(top)
+        floor = max((isqrt(top), *bounds[:i], *bounds[i + 1:]))
+        simple = [p for p in range(floor + 1, top + 1) if all(p % r for r in range(2, p))]
+        assert simple
+        counts = divisor_profile(len(bounds), bounds).counts
+        for p in simple:
+            star = bounds[:i] + (top // p,) + bounds[i + 1:]
+            shifted = {n // p: d for n, d in counts.items() if n % p == 0}
+            assert shifted == divisor_profile(len(star), star).counts
+
+
 class TestExactSum:
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
     def test_run_edges(self, count):
@@ -141,6 +188,11 @@ class TestPairOracle:
         assert x ** (2 * k) <= DEFAULT_PAIR_BUDGET
         assert sum(d * d for d in profile.counts.values()) > 2 * _RUN
         assert pair_sum_oracle(k, x) == mv_pseudomoment(profile)
+
+    @pytest.mark.parametrize("k,x", [(1, 1000), (2, 31), (3, 10)])
+    def test_matches_at_bench_sizes(self, k, x):
+        assert x ** (2 * k) <= DEFAULT_PAIR_BUDGET
+        assert pair_sum_oracle(k, x) == mv_pseudomoment(divisor_profile(k, x))
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
