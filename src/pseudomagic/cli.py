@@ -67,6 +67,7 @@ def _int_list(text: str):
 
 
 _J_TERMS_HELP = "accepted for compatibility and ignored: a_k's local series is in closed form"
+_CAP_HELP = "accepted for compatibility and ignored: the series stops at each target exponent"
 
 # add_argument keywords per flag.  A flag is required unless it has a default
 # or its row writes it with a trailing "?"; the option is "--" + the key up to
@@ -78,7 +79,7 @@ FLAGS = {
     "x.real": {"type": float},
     "t-max": {"type": float},
     "z-angle": {"type": float, "default": 0.0},
-    "cap": {"type": int, "default": None},
+    "cap": {"type": int, "default": None, "help": _CAP_HELP},
     "prime-limit": {"type": int, "default": 10**5},
     "j-terms": {"type": int, "default": 64, "help": _J_TERMS_HELP},
     "family.brute": {"choices": sorted(_FAMILY_BUILDERS)},
@@ -222,8 +223,8 @@ def _ladder(a):
     )
     lines = ["x exact full leading ratio_full ratio_leading"]
     lines += [
-        f"{r.x} {float(r.exact):.10g} {r.prediction_full:.10g} "
-        f"{r.prediction_leading:.10g} {r.ratio_full:.6f} {r.ratio_leading:.6f}"
+        f"{r.x} {float(r.exact):.10g} {r.prediction_full:.10g} {r.prediction_leading:.10g} "
+        f"{r.ratio_full:.6f} " + ("n/a" if r.ratio_leading is None else f"{r.ratio_leading:.6f}")
         for r in rows
     ]
     return Out([asdict(r) for r in rows], "\n".join(lines))
@@ -323,7 +324,7 @@ COMMANDS = [
       "term_budget"),
     C("oracle", "expansion", "contingency count as a series coefficient", "alpha beta cap",
       "alpha beta cap term_budget",
-      lambda a: genfun.expansion_count(a.alpha, a.beta, cap=a.cap, term_budget=a.term_budget),
+      lambda a: genfun.expansion_count(a.alpha, a.beta, term_budget=a.term_budget),
       "term_budget"),
     C("zeta", "profile", "restricted divisor counts", "k x? bounds?", "k tuple_budget",
       _profile, "tuple_budget"),

@@ -135,16 +135,11 @@ def interpolate(values, degree: int) -> CountingPolynomial:
         for i in range(n - 1, level - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
 
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # coefficients of prod_{t<i} (x - x_t)
-    for i in range(n):
-        for d, c in enumerate(basis):
-            coeffs[d] += dd[i] * c
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for d, c in enumerate(basis):
-            nxt[d + 1] += c
-            nxt[d] -= c * xs[i]
-        basis = nxt
+    # nested multiplication from the innermost factor: p <- p * (x - x_i) + dd[i]
+    coeffs = [dd[-1]]
+    for i in range(n - 2, -1, -1):
+        coeffs = [hi - xs[i] * lo for hi, lo in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += dd[i]
 
     poly = CountingPolynomial(tuple(coeffs))
     for x, y in pts[degree + 1:]:

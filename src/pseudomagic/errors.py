@@ -19,12 +19,16 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
 
 
-def run_workers(work, workers: int) -> list:
-    """[work(0), ..., work(workers - 1)] in that order, on a thread pool only when
-    workers > 1; the first exception in worker order propagates."""
+def run_workers(work, total: int, workers: int) -> list:
+    """[work(w, lo, hi), ...] over min(workers, total) consecutive shares [lo, hi) of range(total),
+    total >= 1, the first total % shares one larger, in share order and on a thread pool only
+    for two shares or more; the first exception in share order propagates."""
+    workers = min(workers, total)
+    q, r = divmod(total, workers)
+    edges = [w * q + min(w, r) for w in range(workers + 1)]
     if workers == 1:
-        return [work(0)]
+        return [work(0, 0, total)]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, range(workers)))
+        return list(pool.map(work, range(workers), edges, edges[1:]))

@@ -10,8 +10,8 @@ variable per index, a factor 1/(1 - x_i x_j) per entry above the diagonal and
 1/(1 - v) per variable v, which takes its line's shortfall.
 
 A series is a plain dict from exponent multi-index to integer coefficient,
-truncated at a per-variable degree cap, so extraction from the truncated
-expansion replaces contour quadrature and stays in exact integers.
+truncated at each variable's exponent in the target, which no term past it
+can reach, so extraction replaces contour quadrature in exact integers.
 """
 
 from __future__ import annotations
@@ -22,15 +22,15 @@ from .errors import BudgetError
 DEFAULT_TERM_BUDGET = 10**7
 
 
-def _times_geometric(terms: dict, cap: int, var_indices) -> dict:
-    """``terms`` times sum_{t>=0} (prod of the given variables)^t, truncated at ``cap``.
+def _times_geometric(terms: dict, target, var_indices) -> dict:
+    """``terms`` times sum_{t>=0} (prod of the given variables)^t, truncated at ``target``.
 
     A variable listed twice is squared in the product.
     """
     steps = [(v, var_indices.count(v)) for v in dict.fromkeys(var_indices)]
     out = {}
     for idx, coef in terms.items():
-        lim = min([(cap - idx[v]) // m for v, m in steps])
+        lim = min([(target[v] - idx[v]) // m for v, m in steps])
         cur = list(idx)
         key = idx
         for _ in range(lim + 1):
@@ -49,12 +49,12 @@ def _check_budget(num_vars: int, cap: int, term_budget: int):
         )
 
 
-def series_count(spec, cap=None, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
+def series_count(spec, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Number of matrices satisfying ``spec``, as a coefficient of its generating function.
 
-    Truncated at degree ``cap`` per variable (default: the largest limit).  A
-    malformed spec or a ``cap`` below a limit is a ValueError; a series that
-    could hold more than ``term_budget`` terms is refused before any is built.
+    Each variable is truncated at its own limit.  A malformed spec is a
+    ValueError; a series that could hold more than ``term_budget`` terms at
+    the largest limit in every variable is refused before any is built.
     """
     rows, cols, exact, symmetric = _checked(spec)
     if symmetric:
@@ -68,13 +68,10 @@ def series_count(spec, cap=None, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
         factors = [(i, m + j) for i in range(m) for j in range(len(cols))]
     if not exact:
         factors += [(v,) for v in range(len(target))]
-    cap = max(target) if cap is None else cap
-    if max(target) > cap:
-        raise ValueError("cap too small for the requested exponents")
-    _check_budget(len(target), cap, term_budget)
+    _check_budget(len(target), max(target), term_budget)
     s = {(0,) * len(target): 1}
     for f in factors:
-        s = _times_geometric(s, cap, f)
+        s = _times_geometric(s, target, f)
     return s.get(tuple(target), 0)
 
 
@@ -85,6 +82,6 @@ def contour_coefficient(k: int, l: int, term_budget: int = DEFAULT_TERM_BUDGET) 
     return series_count(pseudomagic_spec(k, l), term_budget=term_budget)
 
 
-def expansion_count(alpha, beta, cap=None, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
+def expansion_count(alpha, beta, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Coefficient of w^alpha z^beta in 1/prod_{i,j}(1 - w_i z_j): the contingency count."""
-    return series_count(contingency_spec(alpha, beta), cap, term_budget)
+    return series_count(contingency_spec(alpha, beta), term_budget)

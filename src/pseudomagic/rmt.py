@@ -32,9 +32,10 @@ module level, so the exact rationals (``full_poly_moment_exact``,
 
 Every Monte Carlo run goes through ``_mc_mean`` in one order: the checks, then
 the exact target, then the workers, so a refused run neither counts its target
-nor builds anything from its arguments.  Worker w draws from the w-th spawn of
-the seed sequence and partial sums are reduced in worker order, so a fixed
-(seed, threads) pair gives bit-identical estimates, real when the values are.
+nor builds anything from its arguments.  Worker w draws its share of the
+samples from ``errors.run_workers`` out of the w-th spawn of the seed sequence
+and partial sums are reduced in worker order, so a fixed (seed, threads) pair
+gives bit-identical estimates, real when the values are.
 """
 
 from __future__ import annotations
@@ -238,9 +239,7 @@ def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
     if n < 1:
         raise ValueError("n must be positive")
     threads = min(threads, samples)
-    q, r = divmod(samples, threads)
-    quotas = [q + 1] * r + [q] * (threads - r)
-    batch = min(DEFAULT_BATCH, quotas[0])
+    batch = min(DEFAULT_BATCH, -(-samples // threads))  # run_workers' largest share
     if (n + 1) * batch > MAX_HAAR_ENTRIES:
         raise BudgetError(
             f"a Monte Carlo worker buffer of {n + 1}x{batch} entries is above "
@@ -257,10 +256,10 @@ def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
 
     streams = np.random.SeedSequence(seed).spawn(threads)
 
-    def work(w: int):
+    def work(w: int, lo: int, hi: int):
         rng = np.random.Generator(np.random.Philox(streams[w]))
         s1 = s2 = 0.0
-        left = quotas[w]
+        left = hi - lo
         while left:
             b = min(DEFAULT_BATCH, left)
             values = value_fn(_szego(_verblunsky_batch(rng, b, n), jmax))
@@ -269,7 +268,7 @@ def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
             left -= b
         return s1, s2
 
-    parts = run_workers(work, threads)
+    parts = run_workers(work, samples, threads)
     mean = sum(p[0] for p in parts) / samples
     var = max(sum(p[1] for p in parts) / samples - abs(mean) ** 2, 0.0)
     return MomentEstimate(mean=mean, stderr=sqrt(var / samples), samples=samples, target=exact)

@@ -74,7 +74,7 @@ class LadderRow:
     prediction_full: float
     prediction_leading: float
     ratio_full: float
-    ratio_leading: float
+    ratio_leading: float | None  # None at X = 1, where the leading prediction is 0
 
 
 def _normalize_bounds(k: int, bounds) -> tuple:
@@ -251,19 +251,18 @@ def _partial_sum_power(k: int, x: int, t: np.ndarray, threads: int) -> np.ndarra
     amps = (n ** -0.5).astype(np.complex128)
     out = np.empty(t.shape[0], dtype=np.float64)
     chunk = max(1, (1 << 21) // max(x, 1))
-    edges = np.linspace(0, t.shape[0], threads + 1).astype(int)
 
-    def fill(w: int):
-        # worker w fills its own contiguous slice; the values do not depend on
-        # the thread count, only the wall time does
-        for a in range(edges[w], edges[w + 1], chunk):
-            b = min(a + chunk, edges[w + 1])
+    def fill(w: int, lo: int, hi: int):
+        # each worker fills its own share of the grid from run_workers; the
+        # values do not depend on the thread count, only the wall time does
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
             # einsum without `optimize` never calls BLAS: OpenBLAS threads this
             # gemv, and its idle worker then spins on a core
             s = np.einsum("ij,j->i", np.exp(-1j * t[a:b, None] * logs[None, :]), amps)
             out[a:b] = np.abs(s) ** (2 * k)
 
-    run_workers(fill, threads)
+    run_workers(fill, t.shape[0], threads)
     return out
 
 
@@ -366,7 +365,7 @@ def convergence_ladder(
                 prediction_full=full,
                 prediction_leading=leading,
                 ratio_full=exact_f / full,
-                ratio_leading=exact_f / leading if leading != 0 else float("inf"),
+                ratio_leading=exact_f / leading if leading != 0 else None,
             )
         )
     return rows

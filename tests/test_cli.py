@@ -1,14 +1,17 @@
 """Command-line interface: exact stdout, JSON discipline, exit codes, reproducibility."""
 
+import importlib
 import json
 import math
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from pseudomagic import cli
 from pseudomagic.cli import main
 
 UNIT_ROWS = ",".join(["1"] * 1200)
@@ -443,20 +446,34 @@ class TestExitCodes:
          "--threads", "2"],
         ["zeta", "integrate", "--k", "1000", "--x", "2", "--t-max", "1", "--steps", "4"],
         ["zeta", "integrate", "--k", "1" + "0" * 20, "--x", "2", "--t-max", "1", "--steps", "4"],
-        # the exact mean value over a leading term that is 0 at X = 1
-        ["zeta", "ladder", "--k", "1", "--x-list", "1"],
-        ["zeta", "ladder", "--k", "2", "--x-list", "1"],
         # one sample has zero spread, so its z-score is infinite (n = 2: at n = 1,
         # |e_1| = 1 and the deviation is rounding alone, often exactly 0)
         ["rmt", "moment", "--j", "1", "--k", "1", "--n", "2", "--samples", "1"],
-    ], ids=["moment", "mixed", "truncated", "integrate", "integrate-huge-k", "ladder-k1",
-            "ladder-k2", "moment-one-sample"])
+    ], ids=["moment", "mixed", "truncated", "integrate", "integrate-huge-k",
+            "moment-one-sample"])
     def test_non_finite_result_is_3(self, capsys, cmd, mode):
         # inf or nan is no value (nor valid JSON); numpy's overflow warnings stay unprinted
         rc, out, err = run_cli(mode + cmd, capsys)
         assert rc == 3 and out == ""
         assert re.fullmatch(r"error: \w+ \S+ is not finite: the result is past the float range\n",
                             err)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_ladder_through_x1_keeps_every_row(self, capsys, k, mode):
+        # the leading prediction is 0 at X = 1: that row's ratio to it is n/a (JSON null)
+        cmd = mode + ["zeta", "ladder", "--k", k, "--prime-limit", "1000", "--x-list"]
+        rc, out, err = run_cli(cmd + ["1,10"], capsys)
+        _, alone, _ = run_cli(cmd + ["10"], capsys)
+        assert (rc, err) == (0, "")
+        if mode:
+            rows, (row10,) = json.loads(out)["value"], json.loads(alone)["value"]
+            assert rows[0]["x"] == 1 and rows[0]["ratio_leading"] is None
+            assert rows[1] == row10
+        else:
+            header, row1, row10 = out.splitlines()
+            assert row1.startswith("1 1 ") and row1.endswith(" n/a")
+            assert [header, row10] == alone.splitlines()
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_exactly_determined_estimate_is_0(self, capsys, seed):
@@ -716,3 +733,32 @@ class TestSurface:
         assert exc.value.code == 0
         listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
         assert listed.split(",") == names.split()
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _readme_number(text):
+    """A README figure such as "400", "10^7" or "5 * 10^9" as an int."""
+    return math.prod(int(b) ** int(e or 1) for b, e in re.findall(r"(\d+)(?:\^(\d+))?", text))
+
+
+class TestReadmeTables:
+    def test_ceilings_match_the_module_constants(self):
+        rows = re.findall(r"^\| `(\w+)\.([A-Z_]+)` = ([^|]+?) \|", README, re.M)
+        assert len(rows) == 10
+        for module, name, value in rows:
+            constant = getattr(importlib.import_module(f"pseudomagic.{module}"), name)
+            assert constant == _readme_number(value), (module, name, value)
+
+    def test_budget_defaults_match_the_cli(self):
+        rows = re.findall(r"^\| ((?:`\w+ [\w-]+`(?:, )?)+) \| [^|]+ \| ([^|]+?) \|$", README, re.M)
+        assert len(rows) == 4
+        budgets = {f"{c.group} {c.name}": c.budget for c in cli.COMMANDS if c.budget}
+        named = []
+        for commands, default in rows:
+            for command in re.findall(r"`([^`]+)`", commands):
+                named.append(command)
+                assert cli._BUDGETS[budgets[command]] == _readme_number(default), command
+        # every other command ignores --budget, as the README says
+        assert sorted(named) == sorted(budgets)

@@ -16,25 +16,30 @@ from pseudomagic.genfun import (
 
 class TestSeriesArithmetic:
     def test_one(self):
-        # at cap 0 a geometric factor leaves the unit series as it is
-        s = _times_geometric({(0, 0): 1}, 0, (0, 1))
+        # at target 0 a geometric factor leaves the unit series as it is
+        s = _times_geometric({(0, 0): 1}, (0, 0), (0, 1))
         assert s == {(0, 0): 1}
 
     def test_single_geometric(self):
-        # 1/(1-z) up to cap: all coefficients 1
-        s = _times_geometric({(0,): 1}, 5, (0,))
+        # 1/(1-z) up to the target: all coefficients 1
+        s = _times_geometric({(0,): 1}, (5,), (0,))
         assert [s.get((i,), 0) for i in range(6)] == [1] * 6
 
     def test_diagonal_geometric(self):
         # 1/(1-wz): nonzero only on the diagonal
-        s = _times_geometric({(0, 0): 1}, 4, (0, 1))
+        s = _times_geometric({(0, 0): 1}, (4, 4), (0, 1))
         assert s.get((3, 3), 0) == 1
         assert s.get((2, 3), 0) == 0
 
     def test_squared_variable(self):
-        # 1/(1-z^2) up to cap 5: even powers only, none past the cap
-        s = _times_geometric({(0,): 1}, 5, (0, 0))
+        # 1/(1-z^2) up to target 5: even powers only, none past the target
+        s = _times_geometric({(0,): 1}, (5,), (0, 0))
         assert s == {(0,): 1, (2,): 1, (4,): 1}
+
+    def test_each_variable_stops_at_its_own_target(self):
+        # 1/(1-wz) with targets (1, 3): the product stops once w reaches 1
+        s = _times_geometric({(0, 0): 1}, (1, 3), (0, 1))
+        assert s == {(0, 0): 1, (1, 1): 1}
 
 
 class TestContourOracle:
@@ -87,13 +92,6 @@ class TestExpansionOracle:
     def test_negative_part_rejected(self):
         with pytest.raises(ValueError, match="partition parts must be nonnegative, got -1"):
             expansion_count((2, -1), (1,))
-
-    def test_cap_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            expansion_count((3, 1), (2, 2), cap=2)
-
-    def test_explicit_cap_matches_default(self):
-        assert expansion_count((2, 1), (2, 1), cap=4) == expansion_count((2, 1), (2, 1))
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):

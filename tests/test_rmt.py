@@ -346,19 +346,32 @@ class TestMonteCarloDriver:
         assert type(truncated_poly_moment_mc(1, 1, 3, 1.0, 10, seed=0).mean) is float
         assert type(mixed_moment_mc((1,), (1,), 3, 10, seed=0, threads=2).mean) is complex
 
-    def test_run_workers_in_worker_order(self):
-        assert run_workers(lambda w: w * w, 5) == [0, 1, 4, 9, 16]
-        # one worker runs on the calling thread, with no pool
-        assert run_workers(lambda w: threading.get_ident(), 1) == [threading.get_ident()]
+    def test_run_workers_in_share_order(self):
+        assert run_workers(lambda w, lo, hi: w * w, 5, 5) == [0, 1, 4, 9, 16]
+        # one share runs on the calling thread, with no pool
+        assert run_workers(lambda w, lo, hi: threading.get_ident(), 7, 1) == [threading.get_ident()]
+        assert run_workers(lambda w, lo, hi: threading.get_ident(), 1, 4) == [threading.get_ident()]
 
-    def test_run_workers_raises_the_first_failure_in_worker_order(self):
-        def work(w):
+    @pytest.mark.parametrize("total,workers,sizes", [
+        (10, 3, [4, 3, 3]), (11, 3, [4, 4, 3]), (12, 3, [4, 4, 4]),
+        (5, 1, [5]), (3, 7, [1, 1, 1]), (1, 64, [1]), (130, 64, [3, 3] + [2] * 62),
+    ])
+    def test_run_workers_shares(self, total, workers, sizes):
+        # consecutive shares covering range(total), the first total % shares one larger
+        shares = run_workers(lambda w, lo, hi: (w, lo, hi), total, workers)
+        assert [w for w, _, _ in shares] == list(range(len(sizes)))
+        assert [hi - lo for _, lo, hi in shares] == sizes
+        assert [lo for _, lo, _ in shares] == [0] + [hi for _, _, hi in shares[:-1]]
+        assert shares[-1][2] == total
+
+    def test_run_workers_raises_the_first_failure_in_share_order(self):
+        def work(w, lo, hi):
             if w:
                 raise ValueError(f"worker {w}")
             return w
 
         with pytest.raises(ValueError, match="worker 1"):
-            run_workers(work, 3)
+            run_workers(work, 9, 3)
 
 
 class TestSecularMoments:

@@ -322,3 +322,10 @@ class TestLadder:
         row = convergence_ladder(1, [1], prime_limit=10**3)[0]
         assert row.exact == 1
         assert row.prediction_full == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_x1_has_no_leading_ratio(self, k):
+        # the leading prediction is 0 at X = 1, so the ratio to it is undefined
+        row = convergence_ladder(k, [1], prime_limit=10**3)[0]
+        assert row.prediction_leading == 0.0
+        assert row.ratio_leading is None
