@@ -1,4 +1,5 @@
-"""Exception types, the worker-thread bound and the worker map for Monte Carlo and quadrature."""
+"""Exception types, the worker-thread bound, the worker map and ``check_size``, which
+compares a work size prod(b ** e) with its budget before any of the work starts."""
 
 # Ceiling on worker threads for Monte Carlo and quadrature: fixed, not the
 # host's CPU count, so the same call is valid on every machine.
@@ -11,6 +12,21 @@ class BudgetError(Exception):
     Distinct from ValueError so that callers (and the CLI exit-code mapping)
     can tell resource refusal apart from malformed input.
     """
+
+
+def check_size(powers, budget: int, unit: str) -> None:
+    """Refuse with BudgetError a size prod(b ** e) over (b, e) pairs, every b >= 1, above
+    ``budget``, named in factored form such as 2^3*5.  Each power is capped at
+    budget.bit_length() + 1 factors and the product stops once past the budget, so a
+    giant size costs no more than a small one."""
+    powers = sorted(powers)
+    cap = budget.bit_length() + 1
+    total = 1
+    for b, e in powers:
+        total *= b ** min(e, cap)
+        if total > budget:
+            size = "*".join(f"{b}^{e}" if e > 1 else str(b) for b, e in powers)
+            raise BudgetError(f"{size} {unit} exceed the budget of {budget}")
 
 
 def check_threads(threads: int) -> None:

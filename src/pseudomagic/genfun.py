@@ -11,13 +11,17 @@ variable per index, a factor 1/(1 - x_i x_j) per entry above the diagonal and
 
 A series is a plain dict from exponent multi-index to integer coefficient,
 truncated at each variable's exponent in the target, which no term past it
-can reach, so extraction replaces contour quadrature in exact integers.
+can reach, so extraction replaces contour quadrature in exact integers.  The series
+holds at most prod_i (t_i + 1) terms, checked against the budget before any factor
+is formed, and a variable with target t_i = 0 takes no factor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .counting import _checked, _index_sums, contingency_spec, pseudomagic_spec
-from .errors import BudgetError
+from .errors import check_size
 
 DEFAULT_TERM_BUDGET = 10**7
 
@@ -41,34 +45,26 @@ def _times_geometric(terms: dict, target, var_indices) -> dict:
     return out
 
 
-def _check_budget(num_vars: int, cap: int, term_budget: int):
-    # (cap+1)^num_vars exceeds the budget once (cap+1)^(bits + 1) does, for cap >= 1
-    if (cap + 1) ** min(num_vars, term_budget.bit_length() + 1) > term_budget:
-        raise BudgetError(
-            f"series with {num_vars} vars at cap {cap} exceeds term budget {term_budget}"
-        )
-
-
 def series_count(spec, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Number of matrices satisfying ``spec``, as a coefficient of its generating function.
 
-    Each variable is truncated at its own limit.  A malformed spec is a
-    ValueError; a series that could hold more than ``term_budget`` terms at
-    the largest limit in every variable is refused before any is built.
+    Each variable is truncated at its own exponent t_i in the target.  A
+    malformed spec is a ValueError; a series that could hold more than
+    ``term_budget`` terms, prod_i (t_i + 1), is refused before any factor is formed.
     """
     rows, cols, exact, symmetric = _checked(spec)
+    target = _index_sums(spec) if symmetric else (*rows, *cols)
+    if target is None:
+        return 0
+    live = [v for v, t in enumerate(target) if t]
+    check_size(Counter(target[v] + 1 for v in live).items(), term_budget, "series terms")
     if symmetric:
-        target = _index_sums(spec)
-        if target is None:
-            return 0
-        n = len(target)
-        factors = [(i, j) for i in range(n) for j in range(i, n)]
+        factors = [(i, j) for a, i in enumerate(live) for j in live[a:]]
     else:
-        target, m = (*rows, *cols), len(rows)
-        factors = [(i, m + j) for i in range(m) for j in range(len(cols))]
+        m = len(rows)
+        factors = [(i, j) for i in live if i < m for j in live if j >= m]
     if not exact:
-        factors += [(v,) for v in range(len(target))]
-    _check_budget(len(target), max(target), term_budget)
+        factors += [(v,) for v in live]
     s = {(0,) * len(target): 1}
     for f in factors:
         s = _times_geometric(s, target, f)
@@ -78,7 +74,7 @@ def series_count(spec, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
 def contour_coefficient(k: int, l: int, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Coefficient of (w_1...w_k z_1...z_k)^l in the bounded kernel: the bounded count."""
     if k > 0 and l >= 0:  # a refusal comes before the k-long spec is built
-        _check_budget(2 * k, l, term_budget)
+        check_size([(l + 1, 2 * k)], term_budget, "series terms")
     return series_count(pseudomagic_spec(k, l), term_budget=term_budget)
 
 

@@ -238,8 +238,7 @@ def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
     check_threads(threads)
     if n < 1:
         raise ValueError("n must be positive")
-    threads = min(threads, samples)
-    batch = min(DEFAULT_BATCH, -(-samples // threads))  # run_workers' largest share
+    batch = min(DEFAULT_BATCH, samples)  # no worker draws a larger batch
     if (n + 1) * batch > MAX_HAAR_ENTRIES:
         raise BudgetError(
             f"a Monte Carlo worker buffer of {n + 1}x{batch} entries is above "
@@ -254,10 +253,9 @@ def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
 
     import numpy as np
 
-    streams = np.random.SeedSequence(seed).spawn(threads)
-
     def work(w: int, lo: int, hi: int):
-        rng = np.random.Generator(np.random.Philox(streams[w]))
+        # the w-th child of SeedSequence(seed), as SeedSequence.spawn makes it
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(w,))))
         s1 = s2 = 0.0
         left = hi - lo
         while left:

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from . import euler
 from .ehrhart import CountingPolynomial, evaluate_real, pseudomagic_polynomial
-from .errors import BudgetError, check_threads, run_workers
+from .errors import BudgetError, check_size, check_threads, run_workers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,11 +91,6 @@ def _normalize_bounds(k: int, bounds) -> tuple:
     return bounds
 
 
-def _factored(bounds) -> str:
-    """The product of ``bounds`` as powers of its distinct factors, such as 2^3*5."""
-    return "*".join(f"{b}^{e}" if e > 1 else str(b) for b, e in sorted(Counter(bounds).items()))
-
-
 def _convolve(counts: dict, b: int) -> dict:
     """One Dirichlet convolution step: counts times the indicator of 1..b, so
     equal products merge as they form."""
@@ -110,11 +105,7 @@ def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) ->
     """Exact restricted divisor counts: the Dirichlet convolution of the indicators of
     1..b_i, one factor at a time, so equal partial products are merged as they form."""
     bounds = _normalize_bounds(k, bounds)
-    total = 1
-    for b in bounds:  # stops at the first partial product past the budget
-        total *= b
-        if total > tuple_budget:
-            raise BudgetError(f"{_factored(bounds)} tuples exceed the budget of {tuple_budget}")
+    check_size(Counter(bounds).items(), tuple_budget, "tuples")
     counts = {1: 1}
     for b in bounds:
         counts = _convolve(counts, b)
@@ -234,9 +225,7 @@ def pair_sum_oracle(k: int, x: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> F
         raise ValueError("k must be positive")
     if x < 1:
         raise ValueError("x must be at least 1")
-    # x >= 2 passes any budget b within b.bit_length() + 1 factors, so the power stays small
-    if x ** min(2 * k, pair_budget.bit_length() + 1) > pair_budget:
-        raise BudgetError(f"{x}^{2 * k} tuple pairs exceed the budget of {pair_budget}")
+    check_size([(x, 2 * k)], pair_budget, "tuple pairs")
     prods = [prod(t) for t in iproduct(range(1, x + 1), repeat=k)]
     buckets = Counter(prods)
     return _exact_sum((1, p) for p in prods for _ in range(buckets[p]))

@@ -5,13 +5,15 @@ import tracemalloc
 
 import pytest
 
-from pseudomagic.counting import count_contingency, count_pseudomagic
-from pseudomagic.errors import BudgetError
+from pseudomagic.counting import contingency_spec, count_contingency, count_pseudomagic
+from pseudomagic.errors import BudgetError, check_size
 from pseudomagic.genfun import (
     _times_geometric,
     contour_coefficient,
     expansion_count,
+    series_count,
 )
+from pseudomagic.zeta import divisor_profile, pair_sum_oracle
 
 
 class TestSeriesArithmetic:
@@ -63,13 +65,19 @@ class TestContourOracle:
         tracemalloc.start()
         try:
             t0 = time.perf_counter()
-            with pytest.raises(BudgetError, match="2000000000 vars at cap 1"):
+            with pytest.raises(BudgetError, match=r"2\^2000000000 series terms"):
                 contour_coefficient(10**9, 1)
             elapsed = time.perf_counter() - t0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert elapsed < 0.1 and peak < 2**20
+
+    def test_zero_target_forms_no_factor(self):
+        # one term, and none of the k^2 + 2k factors that could only multiply it by 1
+        t0 = time.perf_counter()
+        assert contour_coefficient(10**5, 0) == 1
+        assert time.perf_counter() - t0 < 1
 
 
 class TestExpansionOracle:
@@ -96,3 +104,49 @@ class TestExpansionOracle:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             expansion_count((3, 3, 3), (3, 3, 3), term_budget=50)
+
+    def test_skewed_target_within_its_own_bound(self):
+        # at most 31 * 2^4 * 35 = 17,360 terms, though 35^6 is past the budget
+        assert expansion_count((30, 1, 1, 1, 1), (34,)) == 1
+
+    def test_wide_target_refused_before_any_factor(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"2\^6000 series terms"):
+                expansion_count((1,) * 3000, (1,) * 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("powers,budget,refused", [
+        ([(2, 3), (5, 1)], 40, False),
+        ([(2, 3), (5, 1)], 39, True),
+        ([(2, 10**30)], 10**7, True),
+        ([(1, 10**30)], 10**7, False),
+    ])
+    def test_boundary(self, powers, budget, refused):
+        t0 = time.perf_counter()
+        if refused:
+            with pytest.raises(BudgetError):
+                check_size(powers, budget, "units")
+        else:
+            check_size(powers, budget, "units")
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_message_is_factored(self):
+        with pytest.raises(BudgetError) as exc:
+            check_size([(5, 1), (2, 3)], 39, "units")
+        assert str(exc.value) == "2^3*5 units exceed the budget of 39"
+
+    @pytest.mark.parametrize("call,budget", [
+        (lambda b: divisor_profile(2, (10, 10), tuple_budget=b), 100),
+        (lambda b: pair_sum_oracle(1, 10, pair_budget=b), 100),
+        (lambda b: series_count(contingency_spec((1,), (1,)), term_budget=b), 4),
+    ], ids=["profile", "pairs", "series"])
+    def test_callers_admit_exactly_the_budget(self, call, budget):
+        call(budget)
+        with pytest.raises(BudgetError, match=f"budget of {budget - 1}$"):
+            call(budget - 1)

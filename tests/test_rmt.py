@@ -284,7 +284,7 @@ class TestMonteCarloDriver:
             secular_abs_moment_mc(1, 1, 3, 10, seed=0, threads=threads)
 
     @pytest.mark.parametrize("n,samples,threads", [
-        (10**6, 4096, 1), (3000, 4096, 1), (3000, 8192, 2),
+        (10**6, 4096, 1), (3000, 4096, 1), (3000, 8192, 2), (3000, 8192, 4),
     ])
     def test_buffer_ceiling_refused_before_any_draw(self, n, samples, threads):
         with pytest.raises(BudgetError, match=str(MAX_HAAR_ENTRIES)):
