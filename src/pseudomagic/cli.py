@@ -20,39 +20,51 @@ serializer refuses by its key, or an Euler factor that underflowed to 0.0 (a
 _FloatRangeError, which names the value).  Each error is one stderr
 line, and so is each warning the library raises ("warning: ...").
 
-numpy is imported only by the handlers that compute with it (the Monte Carlo,
-Haar and quadrature rows), so an exact command never loads it.
+A call loads only what it runs: a _Layer imports its layer at the first read,
+numpy and json load only where a handler or --json/--out uses them, and a group
+or leaf parser adds its arguments at its first parse; help still names them all.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import sys
 import warnings
-from dataclasses import asdict
-from fractions import Fraction
+from functools import partial
+from importlib import import_module
+from types import ModuleType
 from typing import Callable, NamedTuple
 
-from . import counting, ehrhart, euler, genfun, rmt, zeta
-from .errors import MAX_THREADS, BudgetError
+from .errors import (DEFAULT_GRID_BUDGET, DEFAULT_PAIR_BUDGET, DEFAULT_TERM_BUDGET,
+                     DEFAULT_TUPLE_BUDGET, MAX_THREADS, BudgetError)
+
+
+class _Layer(ModuleType):
+    """A layer module, imported at the first attribute read; each read sees a patched name."""
+
+    def __getattr__(self, attr):
+        return getattr(import_module(self.__name__), attr)
+
+
+counting, ehrhart, euler, genfun, rmt, zeta = (
+    _Layer(f"{__package__}.{m}") for m in ("counting", "ehrhart", "euler", "genfun", "rmt", "zeta"))
 
 _FAMILY_BUILDERS = {
-    "contingency": ("rows cols", counting.contingency_spec),
-    "magic": ("k j", counting.magic_spec),
-    "pseudomagic": ("k l", counting.pseudomagic_spec),
-    "pseudomagic-multi": ("bounds", counting.pseudomagic_multi_spec),
-    "sym-even": ("k j", counting.symmetric_even_spec),
-    "sym-even-bounded": ("k l", counting.symmetric_even_bounded_spec),
+    "contingency": ("rows cols", "contingency_spec"),
+    "magic": ("k j", "magic_spec"),
+    "pseudomagic": ("k l", "pseudomagic_spec"),
+    "pseudomagic-multi": ("bounds", "pseudomagic_multi_spec"),
+    "sym-even": ("k j", "symmetric_even_spec"),
+    "sym-even-bounded": ("k l", "symmetric_even_bounded_spec"),
 }
 
 # A command's one budget, by its metadata name: --budget, else this default.
 _BUDGETS = {
-    "explosion_cap": counting.DEFAULT_GRID_BUDGET,
-    "term_budget": genfun.DEFAULT_TERM_BUDGET,
-    "tuple_budget": zeta.DEFAULT_TUPLE_BUDGET,
-    "pair_budget": zeta.DEFAULT_PAIR_BUDGET,
+    "explosion_cap": DEFAULT_GRID_BUDGET,
+    "term_budget": DEFAULT_TERM_BUDGET,
+    "tuple_budget": DEFAULT_TUPLE_BUDGET,
+    "pair_budget": DEFAULT_PAIR_BUDGET,
 }
 
 
@@ -102,9 +114,10 @@ def _jsonable(v, key="value"):
     named by ``key``, the dict key it sits under."""
     if v is None or isinstance(v, (bool, str)):
         return v
-    if isinstance(v, Fraction):
+    # a Fraction or numpy value exists only once its module is loaded
+    fractions, np = sys.modules.get("fractions"), sys.modules.get("numpy")
+    if fractions is not None and isinstance(v, fractions.Fraction):
         return str(v)
-    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
     if np is not None and isinstance(v, (np.generic, np.ndarray)):
         return _jsonable(v.tolist(), key)
     if isinstance(v, int):
@@ -143,12 +156,13 @@ class Out(NamedTuple):
 
 
 def _brute(a):
-    names, spec = _FAMILY_BUILDERS[a.family]
+    names, builder = _FAMILY_BUILDERS[a.family]
     params = [getattr(a, name) for name in names.split()]
     for name, v in zip(names.split(), params):
         if v is None:
             raise ValueError(f"--{name} is required for family {a.family}")
-    return counting.brute_force_count(spec(*params), explosion_cap=a.explosion_cap)
+    spec = getattr(counting, builder)(*params)
+    return counting.brute_force_count(spec, explosion_cap=a.explosion_cap)
 
 
 def _poly_payload(p: ehrhart.CountingPolynomial) -> dict:
@@ -218,6 +232,8 @@ def _predict(a):
 
 
 def _ladder(a):
+    from dataclasses import asdict
+
     rows = zeta.convergence_ladder(
         a.k, a.x_list, prime_limit=a.prime_limit, j_terms=a.j_terms, tuple_budget=a.tuple_budget
     )
@@ -377,6 +393,33 @@ def _add_globals(p: argparse.ArgumentParser, leaf: bool):
                    help="override the resource budget (tuples, terms, grid cells)")
 
 
+class _LazyParser(argparse.ArgumentParser):
+    """A group or leaf parser that adds its arguments, by ``fill(self)``, on its first parse."""
+
+    fill = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self.fill = self.fill, None
+        if fill is not None:
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _fill_group(group: str, p: argparse.ArgumentParser):
+    ops = p.add_subparsers(dest="op", required=True, parser_class=_LazyParser)
+    for cmd in (c for c in COMMANDS if c.group == group):
+        ops.add_parser(cmd.name, help=cmd.help).fill = partial(_fill_leaf, cmd)
+
+
+def _fill_leaf(cmd: Command, p: argparse.ArgumentParser):
+    _add_globals(p, leaf=True)
+    p.set_defaults(command=cmd)
+    for token in cmd.flags.split():
+        kw = FLAGS[token.rstrip("?")]
+        required = not token.endswith("?") and "default" not in kw
+        p.add_argument("--" + token.rstrip("?").split(".")[0], required=required, **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="pseudomagic",
@@ -384,17 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
         "zeta-partial-sum / random-matrix statistics they predict",
     )
     _add_globals(root, leaf=False)
-    groups = root.add_subparsers(dest="group", required=True)
+    groups = root.add_subparsers(dest="group", required=True, parser_class=_LazyParser)
     for group, group_help in GROUPS.items():
-        ops = groups.add_parser(group, help=group_help).add_subparsers(dest="op", required=True)
-        for cmd in (c for c in COMMANDS if c.group == group):
-            p = ops.add_parser(cmd.name, help=cmd.help)
-            _add_globals(p, leaf=True)
-            p.set_defaults(command=cmd)
-            for token in cmd.flags.split():
-                kw = FLAGS[token.rstrip("?")]
-                required = not token.endswith("?") and "default" not in kw
-                p.add_argument("--" + token.rstrip("?").split(".")[0], required=required, **kw)
+        groups.add_parser(group, help=group_help).fill = partial(_fill_group, group)
     return root
 
 
@@ -434,9 +469,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     cmd = args.command
-    if cmd.budget:
-        setattr(args, cmd.budget, _BUDGETS[cmd.budget] if args.budget is None else args.budget)
     try:
+        if cmd.budget:
+            budget = _BUDGETS[cmd.budget] if args.budget is None else args.budget
+            if budget < 0:
+                raise ValueError(f"--budget must be nonnegative, got {budget}")
+            setattr(args, cmd.budget, budget)
         out, doc = _call(cmd, args)
     except OverflowError as exc:
         text = exc if isinstance(exc, _FloatRangeError) else _past_index_range(cmd, args) or exc
@@ -451,7 +489,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps({"command": " ".join(argv), **doc}, sort_keys=True)
+    if args.json or args.out:
+        import json
+        text = json.dumps({"command": " ".join(argv), **doc}, sort_keys=True)
     if args.out:
         try:
             with open(args.out, "w") as fh:

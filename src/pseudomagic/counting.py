@@ -32,9 +32,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import BudgetError
-
-DEFAULT_GRID_BUDGET = 10**7
+from .errors import DEFAULT_GRID_BUDGET, BudgetError
 
 
 def _parts(parts) -> tuple:

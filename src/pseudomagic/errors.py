@@ -1,9 +1,15 @@
-"""Exception types, the worker-thread bound, the worker map and ``check_size``, which
-compares a work size prod(b ** e) with its budget before any of the work starts."""
+"""Exception types, the worker-thread bound, the default budgets, the worker map and
+``check_size``, which compares a work size prod(b ** e) with its budget up front."""
 
 # Ceiling on worker threads for Monte Carlo and quadrature: fixed, not the
 # host's CPU count, so the same call is valid on every machine.
 MAX_THREADS = 64
+
+# Default work budgets, which --budget overrides; counting, genfun and zeta re-export theirs.
+DEFAULT_GRID_BUDGET = 10**7
+DEFAULT_TERM_BUDGET = 10**7
+DEFAULT_TUPLE_BUDGET = 10**8
+DEFAULT_PAIR_BUDGET = 10**6
 
 
 class BudgetError(Exception):

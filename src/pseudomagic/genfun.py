@@ -21,9 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .counting import _checked, _index_sums, contingency_spec, pseudomagic_spec
-from .errors import check_size
-
-DEFAULT_TERM_BUDGET = 10**7
+from .errors import DEFAULT_TERM_BUDGET, check_size
 
 
 def _times_geometric(terms: dict, target, var_indices) -> dict:

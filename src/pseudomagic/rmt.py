@@ -27,8 +27,8 @@ MAX_SECULAR_N bounds the O(n^4) power-trace route, and MAX_EXACT_K bounds k
 for the exact rationals, whose size grows as k^2 log k.
 
 numpy is imported inside the functions that draw, multiply or sample, not at
-module level, so the exact rationals (``full_poly_moment_exact``,
-``g_factor``) run without loading it.
+module level, and ``counting`` inside the three Monte Carlo targets, so the
+exact rationals (``full_poly_moment_exact``, ``g_factor``) load neither.
 
 Every Monte Carlo run goes through ``_mc_mean`` in one order: the checks, then
 the exact target, then the workers, so a refused run neither counts its target
@@ -46,7 +46,6 @@ from fractions import Fraction
 from math import comb, factorial, prod, sqrt, ulp
 from typing import TYPE_CHECKING
 
-from . import counting
 from .errors import BudgetError, check_threads, run_workers
 
 if TYPE_CHECKING:
@@ -102,6 +101,8 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 
     if n < 1:
         raise ValueError("n must be positive")
+    if seed < 0:  # numpy's own refusal names no flag
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if n * n > MAX_HAAR_ENTRIES:
         raise BudgetError(
             f"{n}x{n} unitary has {n * n} entries, above the ceiling of {MAX_HAAR_ENTRIES}"
@@ -238,6 +239,8 @@ def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
     check_threads(threads)
     if n < 1:
         raise ValueError("n must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     batch = min(DEFAULT_BATCH, samples)  # no worker draws a larger batch
     if (n + 1) * batch > MAX_HAAR_ENTRIES:
         raise BudgetError(
@@ -280,11 +283,11 @@ def secular_abs_moment_mc(
         raise ValueError("need 1 <= j <= n")
     if k < 1:
         raise ValueError("k must be positive")
-    return _mc_mean(
-        n, j, samples, seed, threads,
-        lambda e: abs(e[:, j]) ** (2 * k),
-        lambda: counting.count_magic(k, j) if n >= j * k else None,
-    )
+    def target():
+        from . import counting
+        return counting.count_magic(k, j) if n >= j * k else None
+
+    return _mc_mean(n, j, samples, seed, threads, lambda e: abs(e[:, j]) ** (2 * k), target)
 
 
 def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> MomentEstimate:
@@ -308,6 +311,7 @@ def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> 
         raise ValueError("exponents must be nonnegative")
 
     def target():
+        from . import counting
         # the weights first: the multisets have as many entries as the exponents sum to
         if n < max(sum(jj * v for jj, v in enumerate(c, start=1)) for c in (a, b)):
             return None
@@ -353,10 +357,11 @@ def truncated_poly_moment_mc(
             acc += weights[j] * e[:, j]
         return np.abs(acc) ** (2 * k)
 
-    return _mc_mean(
-        n, l, samples, seed, threads, values,
-        lambda: counting.count_pseudomagic(k, l) if n >= l * k else None,
-    )
+    def target():
+        from . import counting
+        return counting.count_pseudomagic(k, l) if n >= l * k else None
+
+    return _mc_mean(n, l, samples, seed, threads, values, target)
 
 
 def _check_exact_k(k: int) -> None:

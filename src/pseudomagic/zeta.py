@@ -21,7 +21,8 @@ the run's denominators and then the runs' fractions pairwise.
 
 Only the direct integrator needs numpy and worker threads: ``numeric_moment``
 imports numpy when it runs and ``errors.run_workers`` its thread pool, so the
-exact mean values and the predictions run without loading either.
+exact mean values and the predictions run without loading either.  Likewise
+``prediction`` and ``convergence_ladder`` import ``ehrhart`` (and so ``counting``).
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from . import euler
-from .ehrhart import CountingPolynomial, evaluate_real, pseudomagic_polynomial
-from .errors import BudgetError, check_size, check_threads, run_workers
+from .errors import (DEFAULT_PAIR_BUDGET, DEFAULT_TUPLE_BUDGET, BudgetError, check_size,
+                     check_threads, run_workers)
 
 if TYPE_CHECKING:
     import numpy as np
+    from .ehrhart import CountingPolynomial
 
-DEFAULT_TUPLE_BUDGET = 10**8
-DEFAULT_PAIR_BUDGET = 10**6
 # numeric_moment's time grid and partial-sum terms: float arrays of this length are 80 MB.
 MAX_GRID_POINTS = 10**7
 # terms per integer run of _exact_sum: one lcm and one gcd each
@@ -317,6 +317,7 @@ def prediction(k: int, x, a_k: float, gpoly: CountingPolynomial):
         raise ValueError(f"x must be positive, got {x!r}")
     if x < 1:
         raise ValueError(f"x must be at least 1, got {x!r}")
+    from .ehrhart import evaluate_real
     logx = log(x)
     full = a_k * evaluate_real(gpoly, logx)
     leading = a_k * float(gpoly.leading_coefficient) * logx ** (k * k)
@@ -339,6 +340,7 @@ def convergence_ladder(
     (1 - gamma)/(log x + 1).  j_terms is passed on to
     `euler.arithmetic_factor_a`, which ignores it.
     """
+    from .ehrhart import pseudomagic_polynomial
     factor = euler.arithmetic_factor_a(k, prime_limit=prime_limit, j_terms=j_terms)
     gpoly = pseudomagic_polynomial(k)
     rows = []

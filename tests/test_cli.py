@@ -276,15 +276,26 @@ class TestExitCodes:
          "x must be positive, got 0.0"),
         (["zeta", "predict", "--x", "0.5", "--k", "1", "--prime-limit", "100"],
          "x must be at least 1, got 0.5"),
+        # a negative budget or seed is a domain error, not a size refusal or numpy's text
+        (["zeta", "mv", "--k", "1", "--x", "5", "--budget", "-1"],
+         "--budget must be nonnegative, got -1"),
+        (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "10", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
+        (["rmt", "sample", "--n", "3", "--seed", "-1"], "seed must be nonnegative, got -1"),
     ], ids=["magic-k", "moment-k", "truncated-k", "exact-k", "mv-no-x", "profile-no-x",
             "mv-x-and-bounds", "profile-x-and-bounds", "truncated-n", "predict-x",
-            "predict-x-below-1"])
+            "predict-x-below-1", "negative-budget", "moment-negative-seed",
+            "sample-negative-seed"])
     def test_domain_error_is_2(self, capsys, cmd, text):
         assert run_cli(cmd, capsys) == (2, "", f"error: {text}\n")
 
     def test_budget_error_is_3(self, capsys):
         rc, _, err = run_cli(["zeta", "profile", "--k", "3", "--x", "1000", "--budget", "100"], capsys)
         assert rc == 3 and "budget" in err
+
+    def test_zero_budget_is_3(self, capsys):
+        rc, out, err = run_cli(["zeta", "mv", "--k", "1", "--x", "5", "--budget", "0"], capsys)
+        assert (rc, out, err) == (3, "", "error: 5 tuples exceed the budget of 0\n")
 
     @pytest.mark.parametrize("cmd", [
         ["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10", "--steps", "200"],
@@ -534,6 +545,19 @@ def _fresh(code, *args):
     return done.stdout
 
 
+# The layers each command group loads, beyond the package, cli and errors.
+_GROUP_LAYERS = {"count": "counting", "ehrhart": "counting ehrhart", "oracle": "counting genfun",
+                 "zeta": "euler zeta", "rmt": "rmt"}
+
+_FRESH_LOADED = """
+import contextlib, io, json, sys
+from pseudomagic.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(json.loads(sys.argv[1]))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "pseudomagic")))
+"""
+
+
 class TestLazyImports:
     def test_import_loads_no_numpy(self):
         code = ("import sys, pseudomagic\nfrom pseudomagic import *\n"
@@ -547,6 +571,12 @@ class TestLazyImports:
         for argv, (rc, out, err, numpy_loaded) in zip(NUMPY_FREE, rows, strict=True):
             assert not numpy_loaded, argv
             assert [rc, out, err] == list(run_cli(argv, capsys)), argv
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE, ids=[" ".join(a) for a in NUMPY_FREE])
+    def test_each_command_loads_only_its_layers(self, argv):
+        loaded = json.loads(_fresh(_FRESH_LOADED, json.dumps(argv)))
+        layers = ["cli", "errors", *_GROUP_LAYERS[argv[0]].split()]
+        assert loaded == sorted(["pseudomagic"] + [f"pseudomagic.{m}" for m in layers])
 
     def test_exports_are_the_submodule_objects(self):
         import importlib
@@ -733,6 +763,25 @@ class TestSurface:
         assert exc.value.code == 0
         listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
         assert listed.split(",") == names.split()
+
+    @pytest.mark.parametrize("cmd", cli.COMMANDS, ids=[f"{c.group} {c.name}" for c in cli.COMMANDS])
+    def test_leaf_help_lists_every_flag(self, capsys, cmd):
+        # each leaf's parser is filled only when it parses: its help must still be complete
+        with pytest.raises(SystemExit) as exc:
+            main([cmd.group, cmd.name, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        flags = ["--" + token.rstrip("?").split(".")[0] for token in cmd.flags.split()]
+        assert listed == ["--json", "--out", "--seed", "--threads", "--budget"] + flags
+
+    def test_global_flag_before_group_matches_after_leaf(self, capsys):
+        leaf = ["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50"]
+        flags = ["--seed", "3", "--threads", "2"]
+        _, before, _ = run_cli(["--json"] + flags + leaf, capsys)
+        _, after, _ = run_cli(["--json"] + leaf + flags, capsys)
+        before, after = json.loads(before), json.loads(after)
+        assert before.pop("command") != after.pop("command") and before == after
+        assert before["metadata"]["seed"] == 3 and before["metadata"]["threads"] == 2
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
