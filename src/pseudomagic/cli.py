@@ -78,9 +78,6 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_J_TERMS_HELP = "accepted for compatibility and ignored: a_k's local series is in closed form"
-_CAP_HELP = "accepted for compatibility and ignored: the series stops at each target exponent"
-
 # add_argument keywords per flag.  A flag is required unless it has a default
 # or its row writes it with a trailing "?"; the option is "--" + the key up to
 # any ".", so "family.poly" is --family with the choices of `ehrhart poly`.
@@ -91,9 +88,7 @@ FLAGS = {
     "x.real": {"type": float},
     "t-max": {"type": float},
     "z-angle": {"type": float, "default": 0.0},
-    "cap": {"type": int, "default": None, "help": _CAP_HELP},
     "prime-limit": {"type": int, "default": 10**5},
-    "j-terms": {"type": int, "default": 64, "help": _J_TERMS_HELP},
     "family.brute": {"choices": sorted(_FAMILY_BUILDERS)},
     "family.poly": {"choices": ["magic", "pseudomagic", "sym-even-bounded"]},
     "family.hvector": {"choices": ["magic", "pseudomagic"], "default": "magic"},
@@ -225,7 +220,7 @@ def _integrate(a):
 
 
 def _predict(a):
-    factor = euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit, j_terms=a.j_terms).value
+    factor = euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit).value
     full, leading = zeta.prediction(a.k, a.x, factor, ehrhart.pseudomagic_polynomial(a.k))
     value = {"full": full, "leading": leading, "arithmetic_factor": factor}
     return Out(value, f"{full:.15g} {leading:.15g}")
@@ -234,9 +229,8 @@ def _predict(a):
 def _ladder(a):
     from dataclasses import asdict
 
-    rows = zeta.convergence_ladder(
-        a.k, a.x_list, prime_limit=a.prime_limit, j_terms=a.j_terms, tuple_budget=a.tuple_budget
-    )
+    rows = zeta.convergence_ladder(a.k, a.x_list, prime_limit=a.prime_limit,
+                                   tuple_budget=a.tuple_budget)
     lines = ["x exact full leading ratio_full ratio_leading"]
     lines += [
         f"{r.x} {float(r.exact):.10g} {r.prediction_full:.10g} {r.prediction_leading:.10g} "
@@ -251,7 +245,7 @@ def _euler(res: euler.EulerFactorResult):
         raise _FloatRangeError(
             f"the k = {res.k} factor is below the float range: it underflowed to 0.0"
         )
-    return Out(res.value, extra={"j_terms": res.j_terms, "tail_estimate": res.tail_estimate})
+    return Out(res.value, extra={"tail_estimate": res.tail_estimate})
 
 
 def _sample(a):
@@ -338,8 +332,8 @@ COMMANDS = [
     C("oracle", "contour", "bounded count as a master-series coefficient", "k l",
       "k l term_budget", lambda a: genfun.contour_coefficient(a.k, a.l, term_budget=a.term_budget),
       "term_budget"),
-    C("oracle", "expansion", "contingency count as a series coefficient", "alpha beta cap",
-      "alpha beta cap term_budget",
+    C("oracle", "expansion", "contingency count as a series coefficient", "alpha beta",
+      "alpha beta term_budget",
       lambda a: genfun.expansion_count(a.alpha, a.beta, term_budget=a.term_budget),
       "term_budget"),
     C("zeta", "profile", "restricted divisor counts", "k x? bounds?", "k tuple_budget",
@@ -351,14 +345,12 @@ COMMANDS = [
     C("zeta", "integrate", "direct trapezoid time average", "k x t-max steps",
       "k x t_max steps threads", _integrate),
     C("zeta", "predict", "arithmetic-factor times count-polynomial",
-      "k x.real prime-limit j-terms", "k x prime_limit j_terms", _predict),
-    C("zeta", "ladder", "exact vs. prediction across cutoffs", "k x-list prime-limit j-terms",
-      "k prime_limit j_terms", _ladder, "tuple_budget"),
-    C("euler", "a", "unitary arithmetic factor", "k prime-limit j-terms",
-      "k prime_limit j_terms tail_estimate",
-      lambda a: _euler(euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit, j_terms=a.j_terms))),
-    C("euler", "b", "symplectic arithmetic factor", "k prime-limit",
-      "k prime_limit j_terms tail_estimate",
+      "k x.real prime-limit", "k x prime_limit", _predict),
+    C("zeta", "ladder", "exact vs. prediction across cutoffs", "k x-list prime-limit",
+      "k prime_limit tuple_budget", _ladder, "tuple_budget"),
+    C("euler", "a", "unitary arithmetic factor", "k prime-limit", "k prime_limit tail_estimate",
+      lambda a: _euler(euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit))),
+    C("euler", "b", "symplectic arithmetic factor", "k prime-limit", "k prime_limit tail_estimate",
       lambda a: _euler(euler.arithmetic_factor_b(a.k, prime_limit=a.prime_limit))),
     C("rmt", "sample", "draw one Haar unitary", "n", "n seed", _sample),
     C("rmt", "secular", "secular coefficients of one draw", "n", "n seed", _secular),

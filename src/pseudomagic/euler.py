@@ -63,7 +63,6 @@ class EulerFactorResult:
 
     k: int
     prime_limit: int
-    j_terms: int
     value: float
     tail_estimate: float
 
@@ -112,7 +111,7 @@ def _local_b(k: int, p: int) -> float:
     return (k * (k + 1) // 2) * log1p(-x) - log1p(x) + log_bracket
 
 
-def _accumulate(k: int, prime_limit: int, j_terms: int, local_log) -> EulerFactorResult:
+def _accumulate(k: int, prime_limit: int, local_log) -> EulerFactorResult:
     ps = primes_up_to(prime_limit)
     logs = []
     partial = 0.0
@@ -127,7 +126,6 @@ def _accumulate(k: int, prime_limit: int, j_terms: int, local_log) -> EulerFacto
     return EulerFactorResult(
         k=k,
         prime_limit=prime_limit,
-        j_terms=j_terms,
         value=exp(fsum(logs)),
         tail_estimate=abs(expm1(last)) * ps[-1] ** 2 / prime_limit,
     )
@@ -145,8 +143,9 @@ def _check(k: int, prime_limit: int, max_k: int) -> None:
 def arithmetic_factor_a(k: int, prime_limit: int = 10**5, j_terms: int = 64) -> EulerFactorResult:
     """Truncated unitary arithmetic factor a_k from the closed-form local factors.
 
-    j_terms is accepted for compatibility and ignored (it must still be >= 1):
-    the local series is summed in closed form, not truncated.
+    j_terms has no effect: the local series is summed in closed form, not cut
+    after j_terms terms.  It is still accepted, and must still be >= 1, so that
+    callers that pass it keep running; the result does not record it.
     """
     _check(k, prime_limit, MAX_K_A)
     if j_terms < 1:
@@ -156,10 +155,10 @@ def arithmetic_factor_a(k: int, prime_limit: int = 10**5, j_terms: int = 64) -> 
     for i in range(1, k):
         c = c * (k - i) // i
         coeffs.append(c * c)
-    return _accumulate(k, prime_limit, j_terms, lambda p: _local_a(coeffs, p))
+    return _accumulate(k, prime_limit, lambda p: _local_a(coeffs, p))
 
 
 def arithmetic_factor_b(k: int, prime_limit: int = 10**5) -> EulerFactorResult:
     """Truncated symplectic arithmetic factor b_k (closed-form local factors, no series cutoff)."""
     _check(k, prime_limit, MAX_K_B)
-    return _accumulate(k, prime_limit, 0, lambda p: _local_b(k, p))
+    return _accumulate(k, prime_limit, lambda p: _local_b(k, p))

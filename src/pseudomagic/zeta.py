@@ -54,9 +54,9 @@ _RUN = 64
 
 @dataclass(frozen=True)
 class DivisorProfile:
-    """Restricted divisor counts: counts[n] = #{(l_1..l_k) : prod l_i = n, l_i <= bounds_i}."""
+    """Restricted divisor counts: counts[n] = #{(l_1..l_k) : prod l_i = n, l_i <= bounds_i},
+    with k = len(bounds)."""
 
-    k: int
     bounds: tuple
     counts: dict
 
@@ -109,7 +109,7 @@ def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) ->
     counts = {1: 1}
     for b in bounds:
         counts = _convolve(counts, b)
-    return DivisorProfile(k=k, bounds=bounds, counts=counts)
+    return DivisorProfile(bounds=bounds, counts=counts)
 
 
 def _top_power(p: int, b: int) -> int:
@@ -328,7 +328,6 @@ def convergence_ladder(
     k: int,
     x_list,
     prime_limit: int = 10**5,
-    j_terms: int = 64,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
 ):
     """Exact mean value against both predictions for each cutoff; one LadderRow per cutoff.
@@ -337,11 +336,11 @@ def convergence_ladder(
     term, but only logarithmically, and ratio_full carries the error of the
     full prediction's lower-order terms (see `prediction`).  For k=1,
     ratio_full = H_x / (log x + 1), which approaches 1 from below at rate
-    (1 - gamma)/(log x + 1).  j_terms is passed on to
-    `euler.arithmetic_factor_a`, which ignores it.
+    (1 - gamma)/(log x + 1).  a_k is taken once, over the primes up to
+    prime_limit; a cutoff with more than tuple_budget tuples raises BudgetError.
     """
     from .ehrhart import pseudomagic_polynomial
-    factor = euler.arithmetic_factor_a(k, prime_limit=prime_limit, j_terms=j_terms)
+    factor = euler.arithmetic_factor_a(k, prime_limit=prime_limit)
     gpoly = pseudomagic_polynomial(k)
     rows = []
     for x in x_list:

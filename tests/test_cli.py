@@ -1,5 +1,6 @@
 """Command-line interface: exact stdout, JSON discipline, exit codes, reproducibility."""
 
+import argparse
 import importlib
 import json
 import math
@@ -23,6 +24,7 @@ def run_cli(args, capsys):
     return rc, captured.out, captured.err
 
 
+@pytest.mark.numpy_free
 class TestExactStdout:
     def test_count_magic(self, capsys):
         rc, out, _ = run_cli(["count", "magic", "--k", "3", "--j", "1"], capsys)
@@ -138,7 +140,7 @@ class TestBroadCoverage:
         assert rc == 0
         doc = json.loads(out)
         assert doc["value"] == 1.0
-        assert set(doc["metadata"]) == {"k", "prime_limit", "j_terms", "tail_estimate"}
+        assert set(doc["metadata"]) == {"k", "prime_limit", "tail_estimate"}
 
     def test_euler_b(self, capsys):
         rc, out, _ = run_cli(["euler", "b", "--k", "1", "--prime-limit", "2"], capsys)
@@ -240,18 +242,33 @@ class TestJsonDiscipline:
 
 
 class TestExitCodes:
+    @pytest.mark.numpy_free
     @pytest.mark.parametrize("argv,text", [
         (["count", "magic", "--k", "3"], "the following arguments are required: --j"),
         (["count", "contingency", "--rows=", "--cols", "1"],
          "argument --rows: expected a comma-separated integer list"),
         (["count", "contingency", "--rows=1,x", "--cols", "1"],
          "argument --rows: invalid literal for int()"),
-    ], ids=["missing-flag", "empty-list", "not-int-list"])
+        # flags that did nothing, since removed
+        (["oracle", "expansion", "--alpha", "2,1", "--beta", "3", "--cap", "3"],
+         "unrecognized arguments: --cap 3"),
+        (["zeta", "predict", "--k", "1", "--x", "10", "--j-terms", "5"],
+         "unrecognized arguments: --j-terms 5"),
+        (["zeta", "ladder", "--k", "1", "--x-list", "10", "--j-terms", "5"],
+         "unrecognized arguments: --j-terms 5"),
+        (["euler", "a", "--k", "2", "--j-terms", "5"], "unrecognized arguments: --j-terms 5"),
+    ], ids=["missing-flag", "empty-list", "not-int-list", "expansion-cap", "predict-j-terms",
+            "ladder-j-terms", "euler-a-j-terms"])
     def test_usage_error_is_2(self, capsys, argv, text):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2 and text in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        # one error line, after argparse's usage
+        assert err.startswith("usage: ") and err.count("error: ") == 1
+        assert "error: " + text in err.splitlines()[-1]
 
+    @pytest.mark.numpy_free
     def test_unknown_command_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])
@@ -558,6 +575,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "pseudomagi
 """
 
 
+@pytest.mark.numpy_free
 class TestLazyImports:
     def test_import_loads_no_numpy(self):
         code = ("import sys, pseudomagic\nfrom pseudomagic import *\n"
@@ -655,9 +673,8 @@ LEAVES = [
      '{"metadata": {"family": "pseudomagic", "k": 2}, "value": "1/6"}'),
     (["oracle", "contour", "--k", "2", "--l", "2"], "k l term_budget", "26\n",
      '{"metadata": {"k": 2, "l": 2, "term_budget": 10000000}, "value": 26}'),
-    (["oracle", "expansion", "--alpha", "2,1,1", "--beta", "3,1"], "alpha beta cap term_budget",
-     "3\n",
-     '{"metadata": {"alpha": [2, 1, 1], "beta": [3, 1], "cap": null, "term_budget": 10000000}, '
+    (["oracle", "expansion", "--alpha", "2,1,1", "--beta", "3,1"], "alpha beta term_budget",
+     "3\n", '{"metadata": {"alpha": [2, 1, 1], "beta": [3, 1], "term_budget": 10000000}, '
      '"value": 3}'),
     (["zeta", "profile", "--k", "2", "--bounds", "2,3"], "k tuple_budget",
      "1 1\n2 2\n3 1\n4 1\n6 1\n",
@@ -672,13 +689,13 @@ LEAVES = [
      '{"metadata": {"k": 1, "steps": 200, "t_max": 10.0, "threads": 1, "x": 5}, "value": '
      '{"error": 1.11403717144576e-05, "value": 2.38752002044101}}'),
     (["zeta", "predict", "--k", "1", "--x", "100", "--prime-limit", "100"],
-     "j_terms k prime_limit x", None, None),
+     "k prime_limit x", None, None),
     (["zeta", "ladder", "--k", "1", "--x-list", "10,100", "--prime-limit", "1000"],
-     "j_terms k prime_limit", None, None),
+     "k prime_limit tuple_budget", None, None),
     (["euler", "a", "--k", "2", "--prime-limit", "1000"],
-     "j_terms k prime_limit tail_estimate", None, None),
+     "k prime_limit tail_estimate", None, None),
     (["euler", "b", "--k", "2", "--prime-limit", "1000"],
-     "j_terms k prime_limit tail_estimate", None, None),
+     "k prime_limit tail_estimate", None, None),
     (["rmt", "sample", "--n", "3", "--seed", "1"], "n seed",
      "[[ 0.17786555+0.44213956j -0.35025609+0.46671548j  0.15667513+0.6386131j ]\n"
      " [-0.15603843+0.70461846j  0.49134181+0.26629122j -0.27495931-0.30205036j]\n"
@@ -755,6 +772,27 @@ class TestSurface:
             rc, out, err = run_cli(argv, capsys)
             assert rc == 0 and out == plain and err == ""
 
+    @pytest.mark.parametrize("argv", [row[0] for row in LEAVES],
+                             ids=[" ".join(row[0][:2]) for row in LEAVES])
+    def test_every_listed_flag_is_read(self, argv):
+        # a flag the handler never reads is accepted and ignored: it should not be listed
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        ns = cli.build_parser().parse_args(argv, namespace=Recording())
+        cmd = ns.command
+        if cmd.budget:
+            setattr(ns, cmd.budget, cli._BUDGETS[cmd.budget])
+        reads.clear()
+        cmd.handler(ns)
+        flags = {t.split(".")[0].replace("-", "_") for t in cmd.flags.split() if not t.endswith("?")}
+        assert flags <= reads, f"never read: {sorted(flags - reads)}"
+
+    @pytest.mark.numpy_free
     @pytest.mark.parametrize("prefix,names", HELP_LISTS,
                              ids=[" ".join(p) or "root" for p, _ in HELP_LISTS])
     def test_help_lists_leaves_in_order(self, capsys, prefix, names):
@@ -764,6 +802,7 @@ class TestSurface:
         listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
         assert listed.split(",") == names.split()
 
+    @pytest.mark.numpy_free
     @pytest.mark.parametrize("cmd", cli.COMMANDS, ids=[f"{c.group} {c.name}" for c in cli.COMMANDS])
     def test_leaf_help_lists_every_flag(self, capsys, cmd):
         # each leaf's parser is filled only when it parses: its help must still be complete
@@ -811,3 +850,11 @@ class TestReadmeTables:
                 assert cli._BUDGETS[budgets[command]] == _readme_number(default), command
         # every other command ignores --budget, as the README says
         assert sorted(named) == sorted(budgets)
+
+    def test_k_ceilings_after_the_table_match_the_module_constants(self):
+        # they exit 2, not 3, so they sit in a sentence after the ceilings table
+        named = re.findall(r"`euler\.(MAX_K_[AB])` = (10\^\d+)", README)
+        assert sorted(name for name, _ in named) == ["MAX_K_A", "MAX_K_B"]
+        euler = importlib.import_module("pseudomagic.euler")
+        for name, value in named:
+            assert getattr(euler, name) == _readme_number(value), name
