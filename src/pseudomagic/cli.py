@@ -4,7 +4,8 @@ Each leaf command is one row of COMMANDS: its group, name, help text, flags
 (keys of FLAGS), the metadata keys of its JSON document and a handler.  One
 loop builds the parser from the table.  A handler returns the value, or an
 Out that adds the plain-mode text and any metadata not read from the parsed
-arguments; main assembles the document.
+arguments; main assembles the document.  Besides --json and --out, a leaf
+accepts only the flags its row lists, --seed, --threads and --budget included.
 
 Output discipline: plain mode prints a bare human-readable value; --json wraps
 the same value in a {command, value, metadata} document.  Exact numbers are
@@ -59,14 +60,6 @@ _FAMILY_BUILDERS = {
     "sym-even-bounded": ("k l", "symmetric_even_bounded_spec"),
 }
 
-# A command's one budget, by its metadata name: --budget, else this default.
-_BUDGETS = {
-    "explosion_cap": DEFAULT_GRID_BUDGET,
-    "term_budget": DEFAULT_TERM_BUDGET,
-    "tuple_budget": DEFAULT_TUPLE_BUDGET,
-    "pair_budget": DEFAULT_PAIR_BUDGET,
-}
-
 
 def _int_list(text: str):
     toks = text.replace(",", " ").split()
@@ -80,7 +73,8 @@ def _int_list(text: str):
 
 # add_argument keywords per flag.  A flag is required unless it has a default
 # or its row writes it with a trailing "?"; the option is "--" + the key up to
-# any ".", so "family.poly" is --family with the choices of `ehrhart poly`.
+# any ".", so "family.poly" is --family with the choices of `ehrhart poly` and
+# "budget.terms" is --budget, counted in series terms, read as its metadata key.
 FLAGS = {
     **{name: {"type": int} for name in ("k", "j", "l", "n", "x", "samples", "steps")},
     **{name: {"type": _int_list} for name in ("rows", "cols", "bounds", "alpha", "beta",
@@ -93,6 +87,13 @@ FLAGS = {
     "family.poly": {"choices": ["magic", "pseudomagic", "sym-even-bounded"]},
     "family.hvector": {"choices": ["magic", "pseudomagic"], "default": "magic"},
     "family.volume": {"choices": ["pseudomagic", "magic"]},
+    "seed": {"type": int, "default": 0, "help": "RNG seed"},
+    "threads": {"type": int, "default": 1, "help": f"worker threads (1..{MAX_THREADS})"},
+    **{f"budget.{unit}": {"type": int, "dest": dest, "default": default, "metavar": "BUDGET",
+                          "help": f"work budget in {unit} (default %(default)s)"}
+       for unit, dest, default in [
+           ("cells", "explosion_cap", DEFAULT_GRID_BUDGET), ("terms", "term_budget", DEFAULT_TERM_BUDGET),
+           ("tuples", "tuple_budget", DEFAULT_TUPLE_BUDGET), ("pairs", "pair_budget", DEFAULT_PAIR_BUDGET)]},
 }
 
 
@@ -152,11 +153,12 @@ class Out(NamedTuple):
 
 def _brute(a):
     names, builder = _FAMILY_BUILDERS[a.family]
-    params = [getattr(a, name) for name in names.split()]
-    for name, v in zip(names.split(), params):
-        if v is None:
-            raise ValueError(f"--{name} is required for family {a.family}")
-    spec = getattr(counting, builder)(*params)
+    for name in ("rows", "cols", "bounds", "k", "j", "l"):
+        given = getattr(a, name) is not None
+        if given != (name in names.split()):
+            raise ValueError(f"--{name} is not read by family {a.family}" if given
+                             else f"--{name} is required for family {a.family}")
+    spec = getattr(counting, builder)(*(getattr(a, name) for name in names.split()))
     return counting.brute_force_count(spec, explosion_cap=a.explosion_cap)
 
 
@@ -289,7 +291,6 @@ class Command(NamedTuple):
     flags: str
     meta: str
     handler: Callable
-    budget: str | None = None  # key of _BUDGETS that --budget sets
 
 
 GROUPS = {
@@ -316,7 +317,7 @@ COMMANDS = [
     C("count", "sym-even-bounded", "symmetric, even diagonal, bounded sums", "k l", "k l",
       lambda a: counting.count_symmetric_even_bounded(a.k, a.l)),
     C("count", "brute", "entry-by-entry enumeration oracle",
-      "family.brute rows? cols? bounds? k? j? l?", "family explosion_cap", _brute, "explosion_cap"),
+      "family.brute rows? cols? bounds? k? j? l? budget.cells", "family explosion_cap", _brute),
     C("ehrhart", "poly", "reconstruct the count polynomial", "family.poly k", "family k", _poly),
     C("ehrhart", "hvector", "numerator vector of the count series", "family.hvector k",
       "family k", _hvector),
@@ -329,40 +330,38 @@ COMMANDS = [
     C("ehrhart", "volume", "polytope volume from the leading coefficient", "family.volume k",
       "family k", lambda a: ehrhart.substochastic_volume(a.k) if a.family == "pseudomagic"
       else ehrhart.birkhoff_volume(a.k)),
-    C("oracle", "contour", "bounded count as a master-series coefficient", "k l",
-      "k l term_budget", lambda a: genfun.contour_coefficient(a.k, a.l, term_budget=a.term_budget),
-      "term_budget"),
-    C("oracle", "expansion", "contingency count as a series coefficient", "alpha beta",
-      "alpha beta term_budget",
-      lambda a: genfun.expansion_count(a.alpha, a.beta, term_budget=a.term_budget),
-      "term_budget"),
-    C("zeta", "profile", "restricted divisor counts", "k x? bounds?", "k tuple_budget",
-      _profile, "tuple_budget"),
-    C("zeta", "mv", "exact mean value of the squared partial sum", "k x? bounds?",
-      "k bounds tuple_budget", _mv, "tuple_budget"),
-    C("zeta", "pairs", "pair-enumeration oracle for the mean value", "k x", "k x pair_budget",
-      lambda a: zeta.pair_sum_oracle(a.k, a.x, pair_budget=a.pair_budget), "pair_budget"),
-    C("zeta", "integrate", "direct trapezoid time average", "k x t-max steps",
+    C("oracle", "contour", "bounded count as a master-series coefficient", "k l budget.terms",
+      "k l term_budget", lambda a: genfun.contour_coefficient(a.k, a.l, term_budget=a.term_budget)),
+    C("oracle", "expansion", "contingency count as a series coefficient",
+      "alpha beta budget.terms", "alpha beta term_budget",
+      lambda a: genfun.expansion_count(a.alpha, a.beta, term_budget=a.term_budget)),
+    C("zeta", "profile", "restricted divisor counts", "k x? bounds? budget.tuples",
+      "k tuple_budget", _profile),
+    C("zeta", "mv", "exact mean value of the squared partial sum", "k x? bounds? budget.tuples",
+      "k bounds tuple_budget", _mv),
+    C("zeta", "pairs", "pair-enumeration oracle for the mean value", "k x budget.pairs",
+      "k x pair_budget", lambda a: zeta.pair_sum_oracle(a.k, a.x, pair_budget=a.pair_budget)),
+    C("zeta", "integrate", "direct trapezoid time average", "k x t-max steps threads",
       "k x t_max steps threads", _integrate),
     C("zeta", "predict", "arithmetic-factor times count-polynomial",
       "k x.real prime-limit", "k x prime_limit", _predict),
-    C("zeta", "ladder", "exact vs. prediction across cutoffs", "k x-list prime-limit",
-      "k prime_limit tuple_budget", _ladder, "tuple_budget"),
+    C("zeta", "ladder", "exact vs. prediction across cutoffs",
+      "k x-list prime-limit budget.tuples", "k prime_limit tuple_budget", _ladder),
     C("euler", "a", "unitary arithmetic factor", "k prime-limit", "k prime_limit tail_estimate",
       lambda a: _euler(euler.arithmetic_factor_a(a.k, prime_limit=a.prime_limit))),
     C("euler", "b", "symplectic arithmetic factor", "k prime-limit", "k prime_limit tail_estimate",
       lambda a: _euler(euler.arithmetic_factor_b(a.k, prime_limit=a.prime_limit))),
-    C("rmt", "sample", "draw one Haar unitary", "n", "n seed", _sample),
-    C("rmt", "secular", "secular coefficients of one draw", "n", "n seed", _secular),
-    C("rmt", "moment", "E|e_j|^(2k) against the magic count", "j k n samples",
+    C("rmt", "sample", "draw one Haar unitary", "n seed", "n seed", _sample),
+    C("rmt", "secular", "secular coefficients of one draw", "n seed", "n seed", _secular),
+    C("rmt", "moment", "E|e_j|^(2k) against the magic count", "j k n samples seed threads",
       "j k n seed threads",
       lambda a: _estimate(rmt.secular_abs_moment_mc(a.j, a.k, a.n, a.samples, a.seed,
                                                     threads=a.threads))),
-    C("rmt", "mixed", "mixed secular moment against the contingency count", "a b n samples",
-      "a b n seed threads",
+    C("rmt", "mixed", "mixed secular moment against the contingency count",
+      "a b n samples seed threads", "a b n seed threads",
       lambda a: _estimate(rmt.mixed_moment_mc(a.a, a.b, a.n, a.samples, a.seed, threads=a.threads))),
     C("rmt", "truncated", "truncated characteristic polynomial moment against the bounded count",
-      "l k n samples z-angle", "l k n z_angle seed threads",
+      "l k n samples z-angle seed threads", "l k n z_angle seed threads",
       lambda a: _estimate(rmt.truncated_poly_moment_mc(
           a.l, a.k, a.n, _unit(a.z_angle), a.samples, a.seed, threads=a.threads))),
     C("rmt", "exact", "full polynomial moment, exact rational", "n k", "n k",
@@ -373,16 +372,10 @@ COMMANDS = [
 
 
 def _add_globals(p: argparse.ArgumentParser, leaf: bool):
-    d = argparse.SUPPRESS if leaf else None
     p.add_argument("--json", action="store_true",
-                   default=d if leaf else False, help="emit a JSON document")
-    p.add_argument("--out", default=d if leaf else None, metavar="PATH",
+                   default=argparse.SUPPRESS if leaf else False, help="emit a JSON document")
+    p.add_argument("--out", default=argparse.SUPPRESS if leaf else None, metavar="PATH",
                    help="also write the JSON document to a file")
-    p.add_argument("--seed", type=int, default=d if leaf else 0, help="RNG seed")
-    p.add_argument("--threads", type=int, default=d if leaf else 1,
-                   help=f"worker threads for Monte Carlo and quadrature (1..{MAX_THREADS})")
-    p.add_argument("--budget", type=int, default=d if leaf else None,
-                   help="override the resource budget (tuples, terms, grid cells)")
 
 
 class _LazyParser(argparse.ArgumentParser):
@@ -449,7 +442,7 @@ def _past_index_range(cmd: Command, args) -> str | None:
     for token in cmd.flags.split():
         key = token.rstrip("?")
         name = key.split(".")[0]
-        v = getattr(args, name.replace("-", "_"))
+        v = getattr(args, FLAGS[key].get("dest", name.replace("-", "_")))
         if FLAGS[key].get("type") is int and v is not None and abs(v) > sys.maxsize:
             return f"--{name} {v} is past this machine's index range ({sys.maxsize})"
     return None
@@ -462,11 +455,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = args.command
     try:
-        if cmd.budget:
-            budget = _BUDGETS[cmd.budget] if args.budget is None else args.budget
-            if budget < 0:
-                raise ValueError(f"--budget must be nonnegative, got {budget}")
-            setattr(args, cmd.budget, budget)
         out, doc = _call(cmd, args)
     except OverflowError as exc:
         text = exc if isinstance(exc, _FloatRangeError) else _past_index_range(cmd, args) or exc

@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import DEFAULT_GRID_BUDGET, BudgetError
+from .errors import DEFAULT_GRID_BUDGET, BudgetError, check_budget
 
 
 def _parts(parts) -> tuple:
@@ -272,17 +272,18 @@ def count_symmetric_even_bounded(k: int, l: int) -> int:
 def brute_force_count(spec: MatrixCountSpec, explosion_cap: int = DEFAULT_GRID_BUDGET) -> int:
     """Count matrices satisfying ``spec`` by entry-by-entry enumeration.
 
-    Independent of ``count``: row-major depth-first fill with
-    running-sum pruning, no canonicalization, no memoization, and no
-    recursion, so a budget that admits a deep grid cannot exhaust the stack.
-    Refuses with BudgetError when the raw grid (product of per-entry ranges)
-    exceeds ``explosion_cap``, and a malformed ``spec`` with ValueError.
+    Independent of ``count``: row-major depth-first fill with running-sum
+    pruning, no canonicalization, no memoization, and no recursion, so a
+    budget that admits a deep grid cannot exhaust the stack.  Refuses with
+    BudgetError when the raw grid (product of per-entry ranges) exceeds
+    ``explosion_cap``, and a negative cap or a malformed ``spec`` with ValueError.
 
     A line with limit 0 forces its entries to 0, so it is dropped before the
     walk (for a symmetric spec, index i goes when row i or column i is 0).
     Every entry left has a range of at least 2, so the grid check stops
     within log2(explosion_cap) + 1 entries.
     """
+    check_budget(explosion_cap)
     row_lim, col_lim, exact, sym = _checked(spec)
     if sym:
         keep = [i for i, (r, c) in enumerate(zip(row_lim, col_lim)) if r and c]

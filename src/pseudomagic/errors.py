@@ -1,5 +1,5 @@
-"""Exception types, the worker-thread bound, the default budgets, the worker map and
-``check_size``, which compares a work size prod(b ** e) with its budget up front."""
+"""Exception types, the worker-thread bound, the default budgets, the worker map and the
+up-front checks of a budget and of a work size prod(b ** e) against it."""
 
 # Ceiling on worker threads for Monte Carlo and quadrature: fixed, not the
 # host's CPU count, so the same call is valid on every machine.
@@ -22,9 +22,10 @@ class BudgetError(Exception):
 
 def check_size(powers, budget: int, unit: str) -> None:
     """Refuse with BudgetError a size prod(b ** e) over (b, e) pairs, every b >= 1, above
-    ``budget``, named in factored form such as 2^3*5.  Each power is capped at
-    budget.bit_length() + 1 factors and the product stops once past the budget, so a
-    giant size costs no more than a small one."""
+    ``budget``, named in factored form such as 2^3*5; a negative budget is a ValueError.
+    Each power is capped at budget.bit_length() + 1 factors and the product stops once
+    past the budget, so a giant size costs no more than a small one."""
+    check_budget(budget)
     powers = sorted(powers)
     cap = budget.bit_length() + 1
     total = 1
@@ -33,6 +34,12 @@ def check_size(powers, budget: int, unit: str) -> None:
         if total > budget:
             size = "*".join(f"{b}^{e}" if e > 1 else str(b) for b, e in powers)
             raise BudgetError(f"{size} {unit} exceed the budget of {budget}")
+
+
+def check_budget(budget: int) -> None:
+    """Reject a negative work budget with ValueError (CLI exit 2)."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
 
 
 def check_threads(threads: int) -> None:

@@ -135,7 +135,7 @@ def _check(k: int, prime_limit: int, max_k: int) -> None:
     if k < 1:
         raise ValueError("k must be positive")
     if k > max_k:
-        raise ValueError(f"k must be at most {max_k}")
+        raise BudgetError(f"the Euler factor is capped at k = {max_k}, got k = {k}")
     if prime_limit < 2:
         raise ValueError("prime_limit must be at least 2")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .counting import _checked, _index_sums, contingency_spec, pseudomagic_spec
-from .errors import DEFAULT_TERM_BUDGET, check_size
+from .errors import DEFAULT_TERM_BUDGET, check_budget, check_size
 
 
 def _times_geometric(terms: dict, target, var_indices) -> dict:
@@ -51,6 +51,7 @@ def series_count(spec, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     ``term_budget`` terms, prod_i (t_i + 1), is refused before any factor is formed.
     """
     rows, cols, exact, symmetric = _checked(spec)
+    check_budget(term_budget)  # also where no symmetric matrix meets the spec
     target = _index_sums(spec) if symmetric else (*rows, *cols)
     if target is None:
         return 0

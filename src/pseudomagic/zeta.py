@@ -39,8 +39,8 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from . import euler
-from .errors import (DEFAULT_PAIR_BUDGET, DEFAULT_TUPLE_BUDGET, BudgetError, check_size,
-                     check_threads, run_workers)
+from .errors import (DEFAULT_PAIR_BUDGET, DEFAULT_TUPLE_BUDGET, BudgetError, check_budget,
+                     check_size, check_threads, run_workers)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -340,6 +340,7 @@ def convergence_ladder(
     prime_limit; a cutoff with more than tuple_budget tuples raises BudgetError.
     """
     from .ehrhart import pseudomagic_polynomial
+    check_budget(tuple_budget)  # before a_k, whose sieve may be the larger work
     factor = euler.arithmetic_factor_a(k, prime_limit=prime_limit)
     gpoly = pseudomagic_polynomial(k)
     rows = []

@@ -24,6 +24,117 @@ def run_cli(args, capsys):
     return rc, captured.out, captured.err
 
 
+# Every leaf once: its --json metadata keys and, where given, its plain and --json
+# stdout bytes.  The exact values were taken from the implementation that built one
+# argparse handler per leaf, so a rewrite of the front end must keep them.  The Monte
+# Carlo, Haar and quadrature leaves are pinned at a fixed (seed, threads) from the
+# front end that imported numpy eagerly, so the numpy-aware serialization and
+# array2string paths cannot drift.
+LEAVES = [
+    (["count", "contingency", "--rows", "2,1,1", "--cols", "3,1"], "cols rows", "3\n",
+     '{"metadata": {"cols": [3, 1], "rows": [2, 1, 1]}, "value": 3}'),
+    (["count", "magic", "--k", "3", "--j", "2"], "j k", "21\n",
+     '{"metadata": {"j": 2, "k": 3}, "value": 21}'),
+    (["count", "pseudomagic", "--k", "2", "--l", "2"], "k l", "26\n",
+     '{"metadata": {"k": 2, "l": 2}, "value": 26}'),
+    (["count", "pseudomagic-multi", "--bounds", "3,1"], "bounds", "17\n",
+     '{"metadata": {"bounds": [3, 1]}, "value": 17}'),
+    (["count", "sym-even", "--k", "2", "--j", "4"], "j k", "3\n",
+     '{"metadata": {"j": 4, "k": 2}, "value": 3}'),
+    (["count", "sym-even-bounded", "--k", "2", "--l", "4"], "k l", "19\n",
+     '{"metadata": {"k": 2, "l": 4}, "value": 19}'),
+    (["count", "brute", "--family", "pseudomagic-multi", "--bounds", "2,1"],
+     "explosion_cap family", "12\n",
+     '{"metadata": {"explosion_cap": 10000000, "family": "pseudomagic-multi"}, "value": 12}'),
+    (["ehrhart", "poly", "--family", "sym-even-bounded", "--k", "1"], "family k",
+     "even 1 1/2\nodd 1/2 1/2\nleading_agree true\n",
+     '{"metadata": {"family": "sym-even-bounded", "k": 1}, "value": {"even": {"coefficients": '
+     '["1", "1/2"], "degree": 1}, "leading_agree": true, "odd": {"coefficients": ["1/2", "1/2"], '
+     '"degree": 1}}}'),
+    (["ehrhart", "hvector", "--family", "pseudomagic", "--k", "2"], "family k", "1 2 1\n",
+     '{"metadata": {"family": "pseudomagic", "k": 2}, "value": {"entries": [1, 2, 1, 0, 0], '
+     '"stripped": [1, 2, 1]}}'),
+    (["ehrhart", "zeros", "--k", "3"], "k", "true\n",
+     '{"metadata": {"k": 3}, "value": true}'),
+    (["ehrhart", "reciprocity", "--k", "3"], "k", "true\n",
+     '{"metadata": {"k": 3}, "value": true}'),
+    (["ehrhart", "volume", "--family", "pseudomagic", "--k", "2"], "family k", "1/6\n",
+     '{"metadata": {"family": "pseudomagic", "k": 2}, "value": "1/6"}'),
+    (["oracle", "contour", "--k", "2", "--l", "2"], "k l term_budget", "26\n",
+     '{"metadata": {"k": 2, "l": 2, "term_budget": 10000000}, "value": 26}'),
+    (["oracle", "expansion", "--alpha", "2,1,1", "--beta", "3,1"], "alpha beta term_budget",
+     "3\n", '{"metadata": {"alpha": [2, 1, 1], "beta": [3, 1], "term_budget": 10000000}, '
+     '"value": 3}'),
+    (["zeta", "profile", "--k", "2", "--bounds", "2,3"], "k tuple_budget",
+     "1 1\n2 2\n3 1\n4 1\n6 1\n",
+     '{"metadata": {"k": 2, "tuple_budget": 100000000}, "value": {"bounds": [2, 3], "counts": '
+     '[[1, 1], [2, 2], [3, 1], [4, 1], [6, 1]], "distinct_products": 5, "total_tuples": 6}}'),
+    (["zeta", "mv", "--k", "2", "--x", "3"], "bounds k tuple_budget", "193/36\n",
+     '{"metadata": {"bounds": [3, 3], "k": 2, "tuple_budget": 100000000}, "value": "193/36"}'),
+    (["zeta", "pairs", "--k", "2", "--x", "2"], "k pair_budget x", "13/4\n",
+     '{"metadata": {"k": 2, "pair_budget": 1000000, "x": 2}, "value": "13/4"}'),
+    (["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10", "--steps", "200"],
+     "k steps t_max threads x", "2.38752002044101 ± 1.11e-05\n",
+     '{"metadata": {"k": 1, "steps": 200, "t_max": 10.0, "threads": 1, "x": 5}, "value": '
+     '{"error": 1.11403717144576e-05, "value": 2.38752002044101}}'),
+    (["zeta", "predict", "--k", "1", "--x", "100", "--prime-limit", "100"],
+     "k prime_limit x", None, None),
+    (["zeta", "ladder", "--k", "1", "--x-list", "10,100", "--prime-limit", "1000"],
+     "k prime_limit tuple_budget", None, None),
+    (["euler", "a", "--k", "2", "--prime-limit", "1000"],
+     "k prime_limit tail_estimate", None, None),
+    (["euler", "b", "--k", "2", "--prime-limit", "1000"],
+     "k prime_limit tail_estimate", None, None),
+    (["rmt", "sample", "--n", "3", "--seed", "1"], "n seed",
+     "[[ 0.17786555+0.44213956j -0.35025609+0.46671548j  0.15667513+0.6386131j ]\n"
+     " [-0.15603843+0.70461846j  0.49134181+0.26629122j -0.27495931-0.30205036j]\n"
+     " [ 0.19096484+0.46429917j -0.46933437-0.35622295j  0.41906094-0.47452829j]]\n",
+     '{"metadata": {"n": 3, "seed": 1}, "value": [[[0.177865551621191, 0.442139556831206], '
+     '[-0.350256092076417, 0.466715483187722], [0.156675134462071, 0.638613097101127]], '
+     '[[-0.156038433802469, 0.704618461355355], [0.491341813679874, 0.26629121526052], '
+     '[-0.274959311641996, -0.302050358119125]], [[0.190964844719491, 0.464299167570371], '
+     '[-0.469334368737988, -0.356222948225364], [0.419060942509504, -0.474528291060408]]]}'),
+    (["rmt", "secular", "--n", "4", "--seed", "2"], "n seed",
+     "0 +1.000000000000e+00 +0.000000000000e+00\n1 -1.225580232946e-01 +1.447234909320e-01\n"
+     "2 -9.786388328479e-01 +6.042279190565e-01\n3 -1.842942884456e-01 +4.473223834950e-02\n"
+     "4 +4.480127251726e-01 -8.940271797230e-01\n",
+     '{"metadata": {"n": 4, "seed": 2}, "value": [[1.0, 0.0], [-0.122558023294568, '
+     '0.144723490932043], [-0.978638832847854, 0.604227919056464], [-0.184294288445605, '
+     '0.0447322383495021], [0.448012725172631, -0.894027179722962]]}'),
+    (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "3",
+      "--threads", "2"], "j k n seed threads",
+     "mean=0.681429174091662 stderr=0.0776568 samples=50 target=1 z=4.1\n",
+     '{"metadata": {"j": 1, "k": 1, "n": 3, "seed": 3, "threads": 2}, "value": {"mean": '
+     '0.681429174091662, "samples": 50, "stderr": 0.077656753695007, "target": 1, "z": '
+     '4.10229388624084}}'),
+    (["rmt", "mixed", "--a", "1", "--b", "0", "--n", "3", "--samples", "50", "--seed", "4"],
+     "a b n seed threads",
+     "mean=-0.11932986504788-0.0458092656272983j stderr=0.148236 samples=50 target=0 z=0.862\n",
+     '{"metadata": {"a": [1], "b": [0], "n": 3, "seed": 4, "threads": 1}, "value": {"mean": '
+     '[-0.11932986504788, -0.0458092656272983], "samples": 50, "stderr": 0.148236497237074, '
+     '"target": 0, "z": 0.862274819682323}}'),
+    (["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "5",
+      "--z-angle", "0.5"], "k l n seed threads z_angle",
+     "mean=1.64610103977766 stderr=0.21138 samples=50 target=2 z=1.67\n",
+     '{"metadata": {"k": 1, "l": 1, "n": 3, "seed": 5, "threads": 1, "z_angle": 0.5}, "value": '
+     '{"mean": 1.64610103977766, "samples": 50, "stderr": 0.211380224821661, "target": 2, "z": '
+     '1.67422927343803}}'),
+    (["rmt", "exact", "--n", "20", "--k", "2"], "k n", "19481\n",
+     '{"metadata": {"k": 2, "n": 20}, "value": "19481"}'),
+    (["rmt", "gfactor", "--k", "2"], "k", "1/12\n",
+     '{"metadata": {"k": 2}, "value": "1/12"}'),
+]
+
+# Each leaf's LEAVES call plus one of --seed, --threads and --budget that its row does not
+# list, with the one argparse error it must end in.
+_LEAF_ARGV = {tuple(argv[:2]): argv for argv, *_ in LEAVES}
+UNREAD_FLAGS = [
+    (_LEAF_ARGV[c.group, c.name] + [f"--{flag}", "1"], f"unrecognized arguments: --{flag} 1")
+    for c in cli.COMMANDS for flag in ("seed", "threads", "budget")
+    if flag not in {token.split(".")[0] for token in c.flags.split()}
+]
+
+
 @pytest.mark.numpy_free
 class TestExactStdout:
     def test_count_magic(self, capsys):
@@ -257,8 +368,13 @@ class TestExitCodes:
         (["zeta", "ladder", "--k", "1", "--x-list", "10", "--j-terms", "5"],
          "unrecognized arguments: --j-terms 5"),
         (["euler", "a", "--k", "2", "--j-terms", "5"], "unrecognized arguments: --j-terms 5"),
+        # a flag its row does not list, on every leaf; before the group, only --json and --out
+        *UNREAD_FLAGS,
+        (["--seed", "5", "count", "magic", "--k", "2", "--j", "2"],
+         "argument group: invalid choice: '5'"),
     ], ids=["missing-flag", "empty-list", "not-int-list", "expansion-cap", "predict-j-terms",
-            "ladder-j-terms", "euler-a-j-terms"])
+            "ladder-j-terms", "euler-a-j-terms",
+            *[" ".join(argv[:2] + argv[-2:-1]) for argv, _ in UNREAD_FLAGS], "seed-before-group"])
     def test_usage_error_is_2(self, capsys, argv, text):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -295,14 +411,22 @@ class TestExitCodes:
          "x must be at least 1, got 0.5"),
         # a negative budget or seed is a domain error, not a size refusal or numpy's text
         (["zeta", "mv", "--k", "1", "--x", "5", "--budget", "-1"],
-         "--budget must be nonnegative, got -1"),
+         "budget must be nonnegative, got -1"),
+        (["count", "brute", "--family", "magic", "--k", "1", "--j", "1", "--budget", "-1"],
+         "budget must be nonnegative, got -1"),
         (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "10", "--seed", "-1"],
          "seed must be nonnegative, got -1"),
         (["rmt", "sample", "--n", "3", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        # brute force refuses a line-sum flag that its family does not read
+        (["count", "brute", "--family", "magic", "--k", "2", "--j", "2", "--rows", "1,2"],
+         "--rows is not read by family magic"),
+        (["count", "brute", "--family", "contingency", "--rows", "1", "--cols", "1", "--l", "4"],
+         "--l is not read by family contingency"),
     ], ids=["magic-k", "moment-k", "truncated-k", "exact-k", "mv-no-x", "profile-no-x",
             "mv-x-and-bounds", "profile-x-and-bounds", "truncated-n", "predict-x",
-            "predict-x-below-1", "negative-budget", "moment-negative-seed",
-            "sample-negative-seed"])
+            "predict-x-below-1", "negative-budget", "brute-negative-budget",
+            "moment-negative-seed", "sample-negative-seed", "brute-unread-rows",
+            "brute-unread-l"])
     def test_domain_error_is_2(self, capsys, cmd, text):
         assert run_cli(cmd, capsys) == (2, "", f"error: {text}\n")
 
@@ -323,7 +447,7 @@ class TestExitCodes:
         assert rc == 2 and out == "" and "threads" in err
 
     @pytest.mark.parametrize("factor,k,code", [
-        ("a", "20", 0), ("a", "30", 3), ("a", "300", 3), ("a", "1000", 3), ("a", "10001", 2),
+        ("a", "20", 0), ("a", "30", 3), ("a", "300", 3), ("a", "1000", 3), ("a", "10001", 3),
         ("b", "20", 0), ("b", "300", 3), ("b", "1200", 3),
     ])
     def test_large_k_euler_ends_in_a_value_or_a_refusal(self, capsys, factor, k, code):
@@ -635,107 +759,6 @@ class TestReproducibility:
         assert a == b
 
 
-# Every leaf once: its --json metadata keys and, where given, its plain and --json
-# stdout bytes.  The exact values were taken from the implementation that built one
-# argparse handler per leaf, so a rewrite of the front end must keep them.  The Monte
-# Carlo, Haar and quadrature leaves are pinned at a fixed (seed, threads) from the
-# front end that imported numpy eagerly, so the numpy-aware serialization and
-# array2string paths cannot drift.
-LEAVES = [
-    (["count", "contingency", "--rows", "2,1,1", "--cols", "3,1"], "cols rows", "3\n",
-     '{"metadata": {"cols": [3, 1], "rows": [2, 1, 1]}, "value": 3}'),
-    (["count", "magic", "--k", "3", "--j", "2"], "j k", "21\n",
-     '{"metadata": {"j": 2, "k": 3}, "value": 21}'),
-    (["count", "pseudomagic", "--k", "2", "--l", "2"], "k l", "26\n",
-     '{"metadata": {"k": 2, "l": 2}, "value": 26}'),
-    (["count", "pseudomagic-multi", "--bounds", "3,1"], "bounds", "17\n",
-     '{"metadata": {"bounds": [3, 1]}, "value": 17}'),
-    (["count", "sym-even", "--k", "2", "--j", "4"], "j k", "3\n",
-     '{"metadata": {"j": 4, "k": 2}, "value": 3}'),
-    (["count", "sym-even-bounded", "--k", "2", "--l", "4"], "k l", "19\n",
-     '{"metadata": {"k": 2, "l": 4}, "value": 19}'),
-    (["count", "brute", "--family", "pseudomagic-multi", "--bounds", "2,1"],
-     "explosion_cap family", "12\n",
-     '{"metadata": {"explosion_cap": 10000000, "family": "pseudomagic-multi"}, "value": 12}'),
-    (["ehrhart", "poly", "--family", "sym-even-bounded", "--k", "1"], "family k",
-     "even 1 1/2\nodd 1/2 1/2\nleading_agree true\n",
-     '{"metadata": {"family": "sym-even-bounded", "k": 1}, "value": {"even": {"coefficients": '
-     '["1", "1/2"], "degree": 1}, "leading_agree": true, "odd": {"coefficients": ["1/2", "1/2"], '
-     '"degree": 1}}}'),
-    (["ehrhart", "hvector", "--family", "pseudomagic", "--k", "2"], "family k", "1 2 1\n",
-     '{"metadata": {"family": "pseudomagic", "k": 2}, "value": {"entries": [1, 2, 1, 0, 0], '
-     '"stripped": [1, 2, 1]}}'),
-    (["ehrhart", "zeros", "--k", "3"], "k", "true\n",
-     '{"metadata": {"k": 3}, "value": true}'),
-    (["ehrhart", "reciprocity", "--k", "3"], "k", "true\n",
-     '{"metadata": {"k": 3}, "value": true}'),
-    (["ehrhart", "volume", "--family", "pseudomagic", "--k", "2"], "family k", "1/6\n",
-     '{"metadata": {"family": "pseudomagic", "k": 2}, "value": "1/6"}'),
-    (["oracle", "contour", "--k", "2", "--l", "2"], "k l term_budget", "26\n",
-     '{"metadata": {"k": 2, "l": 2, "term_budget": 10000000}, "value": 26}'),
-    (["oracle", "expansion", "--alpha", "2,1,1", "--beta", "3,1"], "alpha beta term_budget",
-     "3\n", '{"metadata": {"alpha": [2, 1, 1], "beta": [3, 1], "term_budget": 10000000}, '
-     '"value": 3}'),
-    (["zeta", "profile", "--k", "2", "--bounds", "2,3"], "k tuple_budget",
-     "1 1\n2 2\n3 1\n4 1\n6 1\n",
-     '{"metadata": {"k": 2, "tuple_budget": 100000000}, "value": {"bounds": [2, 3], "counts": '
-     '[[1, 1], [2, 2], [3, 1], [4, 1], [6, 1]], "distinct_products": 5, "total_tuples": 6}}'),
-    (["zeta", "mv", "--k", "2", "--x", "3"], "bounds k tuple_budget", "193/36\n",
-     '{"metadata": {"bounds": [3, 3], "k": 2, "tuple_budget": 100000000}, "value": "193/36"}'),
-    (["zeta", "pairs", "--k", "2", "--x", "2"], "k pair_budget x", "13/4\n",
-     '{"metadata": {"k": 2, "pair_budget": 1000000, "x": 2}, "value": "13/4"}'),
-    (["zeta", "integrate", "--k", "1", "--x", "5", "--t-max", "10", "--steps", "200"],
-     "k steps t_max threads x", "2.38752002044101 ± 1.11e-05\n",
-     '{"metadata": {"k": 1, "steps": 200, "t_max": 10.0, "threads": 1, "x": 5}, "value": '
-     '{"error": 1.11403717144576e-05, "value": 2.38752002044101}}'),
-    (["zeta", "predict", "--k", "1", "--x", "100", "--prime-limit", "100"],
-     "k prime_limit x", None, None),
-    (["zeta", "ladder", "--k", "1", "--x-list", "10,100", "--prime-limit", "1000"],
-     "k prime_limit tuple_budget", None, None),
-    (["euler", "a", "--k", "2", "--prime-limit", "1000"],
-     "k prime_limit tail_estimate", None, None),
-    (["euler", "b", "--k", "2", "--prime-limit", "1000"],
-     "k prime_limit tail_estimate", None, None),
-    (["rmt", "sample", "--n", "3", "--seed", "1"], "n seed",
-     "[[ 0.17786555+0.44213956j -0.35025609+0.46671548j  0.15667513+0.6386131j ]\n"
-     " [-0.15603843+0.70461846j  0.49134181+0.26629122j -0.27495931-0.30205036j]\n"
-     " [ 0.19096484+0.46429917j -0.46933437-0.35622295j  0.41906094-0.47452829j]]\n",
-     '{"metadata": {"n": 3, "seed": 1}, "value": [[[0.177865551621191, 0.442139556831206], '
-     '[-0.350256092076417, 0.466715483187722], [0.156675134462071, 0.638613097101127]], '
-     '[[-0.156038433802469, 0.704618461355355], [0.491341813679874, 0.26629121526052], '
-     '[-0.274959311641996, -0.302050358119125]], [[0.190964844719491, 0.464299167570371], '
-     '[-0.469334368737988, -0.356222948225364], [0.419060942509504, -0.474528291060408]]]}'),
-    (["rmt", "secular", "--n", "4", "--seed", "2"], "n seed",
-     "0 +1.000000000000e+00 +0.000000000000e+00\n1 -1.225580232946e-01 +1.447234909320e-01\n"
-     "2 -9.786388328479e-01 +6.042279190565e-01\n3 -1.842942884456e-01 +4.473223834950e-02\n"
-     "4 +4.480127251726e-01 -8.940271797230e-01\n",
-     '{"metadata": {"n": 4, "seed": 2}, "value": [[1.0, 0.0], [-0.122558023294568, '
-     '0.144723490932043], [-0.978638832847854, 0.604227919056464], [-0.184294288445605, '
-     '0.0447322383495021], [0.448012725172631, -0.894027179722962]]}'),
-    (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "3",
-      "--threads", "2"], "j k n seed threads",
-     "mean=0.681429174091662 stderr=0.0776568 samples=50 target=1 z=4.1\n",
-     '{"metadata": {"j": 1, "k": 1, "n": 3, "seed": 3, "threads": 2}, "value": {"mean": '
-     '0.681429174091662, "samples": 50, "stderr": 0.077656753695007, "target": 1, "z": '
-     '4.10229388624084}}'),
-    (["rmt", "mixed", "--a", "1", "--b", "0", "--n", "3", "--samples", "50", "--seed", "4"],
-     "a b n seed threads",
-     "mean=-0.11932986504788-0.0458092656272983j stderr=0.148236 samples=50 target=0 z=0.862\n",
-     '{"metadata": {"a": [1], "b": [0], "n": 3, "seed": 4, "threads": 1}, "value": {"mean": '
-     '[-0.11932986504788, -0.0458092656272983], "samples": 50, "stderr": 0.148236497237074, '
-     '"target": 0, "z": 0.862274819682323}}'),
-    (["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "5",
-      "--z-angle", "0.5"], "k l n seed threads z_angle",
-     "mean=1.64610103977766 stderr=0.21138 samples=50 target=2 z=1.67\n",
-     '{"metadata": {"k": 1, "l": 1, "n": 3, "seed": 5, "threads": 1, "z_angle": 0.5}, "value": '
-     '{"mean": 1.64610103977766, "samples": 50, "stderr": 0.211380224821661, "target": 2, "z": '
-     '1.67422927343803}}'),
-    (["rmt", "exact", "--n", "20", "--k", "2"], "k n", "19481\n",
-     '{"metadata": {"k": 2, "n": 20}, "value": "19481"}'),
-    (["rmt", "gfactor", "--k", "2"], "k", "1/12\n",
-     '{"metadata": {"k": 2}, "value": "1/12"}'),
-]
-
 HELP_LISTS = [
     ([], "count ehrhart oracle zeta euler rmt"),
     (["count"], "contingency magic pseudomagic pseudomagic-multi sym-even sym-even-bounded brute"),
@@ -785,11 +808,10 @@ class TestSurface:
 
         ns = cli.build_parser().parse_args(argv, namespace=Recording())
         cmd = ns.command
-        if cmd.budget:
-            setattr(ns, cmd.budget, cli._BUDGETS[cmd.budget])
         reads.clear()
         cmd.handler(ns)
-        flags = {t.split(".")[0].replace("-", "_") for t in cmd.flags.split() if not t.endswith("?")}
+        flags = {cli.FLAGS[t].get("dest", t.split(".")[0].replace("-", "_"))
+                 for t in cmd.flags.split() if not t.endswith("?")}
         assert flags <= reads, f"never read: {sorted(flags - reads)}"
 
     @pytest.mark.numpy_free
@@ -811,16 +833,7 @@ class TestSurface:
         assert exc.value.code == 0
         listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
         flags = ["--" + token.rstrip("?").split(".")[0] for token in cmd.flags.split()]
-        assert listed == ["--json", "--out", "--seed", "--threads", "--budget"] + flags
-
-    def test_global_flag_before_group_matches_after_leaf(self, capsys):
-        leaf = ["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50"]
-        flags = ["--seed", "3", "--threads", "2"]
-        _, before, _ = run_cli(["--json"] + flags + leaf, capsys)
-        _, after, _ = run_cli(["--json"] + leaf + flags, capsys)
-        before, after = json.loads(before), json.loads(after)
-        assert before.pop("command") != after.pop("command") and before == after
-        assert before["metadata"]["seed"] == 3 and before["metadata"]["threads"] == 2
+        assert listed == ["--json", "--out"] + flags
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -834,27 +847,22 @@ def _readme_number(text):
 class TestReadmeTables:
     def test_ceilings_match_the_module_constants(self):
         rows = re.findall(r"^\| `(\w+)\.([A-Z_]+)` = ([^|]+?) \|", README, re.M)
-        assert len(rows) == 10
+        assert len(rows) == 12
         for module, name, value in rows:
             constant = getattr(importlib.import_module(f"pseudomagic.{module}"), name)
             assert constant == _readme_number(value), (module, name, value)
 
     def test_budget_defaults_match_the_cli(self):
-        rows = re.findall(r"^\| ((?:`\w+ [\w-]+`(?:, )?)+) \| [^|]+ \| ([^|]+?) \|$", README, re.M)
+        rows = re.findall(r"^\| ((?:`\w+ [\w-]+`(?:, )?)+) \| ([^|]+) \| ([^|]+?) \|$", README, re.M)
         assert len(rows) == 4
-        budgets = {f"{c.group} {c.name}": c.budget for c in cli.COMMANDS if c.budget}
+        budgets = {f"{c.group} {c.name}": token for c in cli.COMMANDS
+                   for token in c.flags.split() if token.startswith("budget.")}
         named = []
-        for commands, default in rows:
+        for commands, counts, default in rows:
             for command in re.findall(r"`([^`]+)`", commands):
                 named.append(command)
-                assert cli._BUDGETS[budgets[command]] == _readme_number(default), command
-        # every other command ignores --budget, as the README says
+                token = budgets[command]
+                assert cli.FLAGS[token]["default"] == _readme_number(default), command
+                assert token.split(".")[1] in counts, command
+        # no other command accepts --budget, as the README says
         assert sorted(named) == sorted(budgets)
-
-    def test_k_ceilings_after_the_table_match_the_module_constants(self):
-        # they exit 2, not 3, so they sit in a sentence after the ceilings table
-        named = re.findall(r"`euler\.(MAX_K_[AB])` = (10\^\d+)", README)
-        assert sorted(name for name, _ in named) == ["MAX_K_A", "MAX_K_B"]
-        euler = importlib.import_module("pseudomagic.euler")
-        for name, value in named:
-            assert getattr(euler, name) == _readme_number(value), name

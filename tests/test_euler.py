@@ -146,7 +146,7 @@ class TestFactorA:
             arithmetic_factor_a(2, prime_limit=1)
         with pytest.raises(ValueError):
             arithmetic_factor_a(2, prime_limit=100, j_terms=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError):
             arithmetic_factor_a(MAX_K_A + 1, prime_limit=100)
 
 
@@ -191,7 +191,7 @@ class TestFactorB:
             arithmetic_factor_b(0, prime_limit=100)
         with pytest.raises(ValueError):
             arithmetic_factor_b(1, prime_limit=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError):
             arithmetic_factor_b(MAX_K_B + 1, prime_limit=100)
 
 

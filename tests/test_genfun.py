@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from pseudomagic.counting import contingency_spec, count_contingency, count_pseudomagic
+from pseudomagic.counting import (MatrixCountSpec, brute_force_count, contingency_spec,
+                                  count_contingency, count_pseudomagic)
 from pseudomagic.errors import BudgetError, check_size
 from pseudomagic.genfun import (
     _times_geometric,
@@ -13,7 +14,7 @@ from pseudomagic.genfun import (
     expansion_count,
     series_count,
 )
-from pseudomagic.zeta import divisor_profile, pair_sum_oracle
+from pseudomagic.zeta import convergence_ladder, divisor_profile, pair_sum_oracle
 
 
 class TestSeriesArithmetic:
@@ -150,3 +151,20 @@ class TestSizeRule:
         call(budget)
         with pytest.raises(BudgetError, match=f"budget of {budget - 1}$"):
             call(budget - 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda b: check_size([], b, "units"),
+        lambda b: divisor_profile(2, 5, tuple_budget=b),
+        lambda b: pair_sum_oracle(1, 10, pair_budget=b),
+        lambda b: series_count(contingency_spec((1,), (1,)), term_budget=b),
+        # no symmetric matrix meets this spec, so the series is never sized
+        lambda b: series_count(MatrixCountSpec((1, 2), (2, 1), True, True), term_budget=b),
+        lambda b: contour_coefficient(2, 2, term_budget=b),
+        lambda b: brute_force_count(contingency_spec((1,), (1,)), explosion_cap=b),
+        # refused before a_k, which would refuse this prime limit with another text
+        lambda b: convergence_ladder(1, [10], prime_limit=1, tuple_budget=b),
+    ], ids=["check_size", "profile", "pairs", "series", "series-unmet", "contour", "brute",
+            "ladder"])
+    def test_negative_budget_is_a_domain_error(self, call):
+        with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
+            call(-1)
