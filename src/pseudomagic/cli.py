@@ -379,7 +379,8 @@ def _add_globals(p: argparse.ArgumentParser, leaf: bool):
 
 
 class _LazyParser(argparse.ArgumentParser):
-    """A group or leaf parser that adds its arguments, by ``fill(self)``, on its first parse."""
+    """A group or leaf parser that adds its arguments, by ``fill(self)``, on its first parse.
+    A leaf refuses a token it does not read with its own usage, not the root's."""
 
     fill = None
 
@@ -387,7 +388,10 @@ class _LazyParser(argparse.ArgumentParser):
         fill, self.fill = self.fill, None
         if fill is not None:
             fill(self)
-        return super().parse_known_args(args, namespace)
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self.get_default("command") is not None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _fill_group(group: str, p: argparse.ArgumentParser):

@@ -13,18 +13,19 @@ positive (without the fix QR is not Haar), and ``secular_coefficients`` reads
 any matrix's coefficients from power traces through Newton's identities.
 The Monte Carlo never forms a matrix.  The eigenvalues of a Haar unitary are
 distributed as those of a CMV matrix with independent Verblunsky
-coefficients (Killip-Nenciu): ``|alpha_k|^2 ~ Beta(1, n-k-1)`` with a
-uniform phase for k < n-1, and ``alpha_{n-1}`` uniform on the circle.  The
-Szego recursion turns them into the coefficients e_0..e_jmax of det(z - U) in
-O(n jmax) per sample after a 2(jmax+1)-step prefix.  The QR route is the
-tests' independent reference for the Monte Carlo.
+coefficients (Killip-Nenciu): ``|alpha_k|^2 ~ Beta(1, n-k-1)`` for k < n-1 and
+``|alpha_{n-1}| = 1``, with phases uniform on MC_PHASES equally spaced angles,
+which keep every admitted estimate's Haar mean and variance.  The Szego
+recursion turns them into the coefficients e_0..e_jmax of det(z - U) in O(n jmax)
+per sample after a 2(jmax+1)-step prefix.  The QR route is the tests'
+independent reference for the Monte Carlo.
 
 Fixed ceilings refuse, with BudgetError, what would not fit or not finish:
 MAX_HAAR_ENTRIES bounds a drawn unitary and one Monte Carlo worker's
 coefficient buffer, MAX_MC_COST bounds a Monte Carlo run's (n+1)^2 * samples
-Szego steps (a conservative count, since the recursion is banded),
-MAX_SECULAR_N bounds the O(n^4) power-trace route, and MAX_EXACT_K bounds k
-for the exact rationals, whose size grows as k^2 log k.
+Szego steps (a conservative count, since the recursion is banded), MC_PHASES
+bounds a Monte Carlo value's degree in each phase, MAX_SECULAR_N bounds the O(n^4)
+power-trace route, and MAX_EXACT_K bounds k for the exact rationals, of k^2 log k bits.
 
 numpy is imported inside the functions that draw, multiply or sample, not at
 module level, and ``counting`` inside the three Monte Carlo targets, so the
@@ -59,6 +60,10 @@ MAX_HAAR_ENTRIES = 10**7
 # at the slowest rate measured on 2 AMD EPYC CPUs, 8.5e7 steps/s at n = 2.  The banded
 # recursion does O(n jmax) work per sample, so (n+1)^2 is now a conservative bound.
 MAX_MC_COST = 5 * 10**9
+# Monte Carlo phases are uniform on this many equally spaced angles (a word's top 12 bits).
+# A value of degree d in each phase, and its square, average as under Haar when
+# 2d < MC_PHASES, since e^(i m theta) averages to 0 there for 0 < |m| < MC_PHASES.
+MC_PHASES = 4096
 # secular_coefficients forms n matrix powers, O(n^4): 2.1 s at this size on 2 Xeon CPUs.
 MAX_SECULAR_N = 400
 # g_factor(k) has a denominator of about k^2 log k bits; at this k it and its
@@ -159,37 +164,28 @@ def secular_coefficients(m: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _phase_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(2 pi i h / 2^b) for the three digits of a 32-bit phase, b = 11, 22 and 32,
-    built on first use.  Angles are reduced to the first quarter turn, where cos and
-    sin are accurate, and rotated by exact powers of i."""
+def _phase_table() -> np.ndarray:
+    """exp(2 pi i h / MC_PHASES) for h < MC_PHASES, built on first use: cos and sin of the
+    angle reduced to the first quarter turn, where they are accurate, times a power of i."""
     import numpy as np
 
-    tables = []
-    for bits, size in ((11, 2048), (22, 2048), (32, 1024)):
-        h = np.arange(size)
-        angle = 2 * np.pi * ((h & ((1 << (bits - 2)) - 1)) / 2.0**bits)
-        quarter = np.array([1, 1j, -1, -1j])[h >> (bits - 2)]
-        tables.append((np.cos(angle) + 1j * np.sin(angle)) * quarter)
-    return tuple(tables)
+    h = np.arange(MC_PHASES)
+    angle = 2 * np.pi * (h % (MC_PHASES // 4)) / MC_PHASES
+    return (np.cos(angle) + 1j * np.sin(angle)) * np.array([1, 1j, -1, -1j])[4 * h // MC_PHASES]
 
 
 def _verblunsky_batch(rng: np.random.Generator, batch: int, n: int) -> np.ndarray:
-    """Verblunsky coefficients of CUE(n), one column per sample (Killip-Nenciu):
-    |alpha_k|^2 ~ Beta(1, n-k-1), drawn by inversion, for k < n-1 and
-    |alpha_{n-1}| = 1.  Each phase is e^(2 pi i u / 2^32) for a uniform uint32 u,
-    the exact uniform law on 2^32 equally spaced angles, formed as the product of
-    three table entries indexed by u's top 11, middle 11 and low 10 bits."""
+    """Verblunsky coefficients of CUE(n), one column per sample (Killip-Nenciu), from one
+    64-bit word w each: its top 12 bits pick the phase, uniform on MC_PHASES equally spaced
+    angles, and for k < n-1 its low 52 bits give u = (w mod 2^52 + 1) / 2^52 in (0, 1] and
+    |alpha_k|^2 = 1 - u^(1/(n-k-1)) ~ Beta(1, n-k-1) by inversion; |alpha_{n-1}| = 1."""
     import numpy as np
 
+    w = rng.bit_generator.random_raw((n, batch))
+    alpha = _phase_table()[w >> 52]
+    u = ((w[:-1] & (2**52 - 1)) + 1) * 2.0**-52
     shape = np.arange(n - 1, 0, -1)[:, None]  # n-k-1 for k = 0..n-2
-    radius = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, batch))) / shape))
-    u = rng.integers(0, 2**32, size=(n, batch), dtype=np.uint32)
-    hi, mid, lo = _phase_tables()
-    # the two small rotations first: within 3.5e-16 of the true phase, against 4.6e-16
-    # for (hi * mid) * lo, over 10^6 draws
-    alpha = hi[u >> 21] * (mid[(u >> 10) & 0x7FF] * lo[u & 0x3FF])
-    alpha[:-1] *= radius
+    alpha[:-1] *= np.sqrt(-np.expm1(np.log(u) / shape))
     return alpha
 
 
@@ -226,13 +222,13 @@ def _szego(alpha: np.ndarray, jmax: int) -> np.ndarray:
     return e.T
 
 
-def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
+def _mc_mean(n: int, jmax: int, degree: int, samples: int, seed: int, threads: int,
              value_fn, target) -> MomentEstimate:
     """Mean of value_fn over `samples` Haar draws at dimension n: the checks, then
     ``target()`` (the exact value or None, with no budget of its own), then the workers.
 
-    value_fn maps a (batch, jmax+1) coefficient block to one value per sample;
-    the mean is real when the values are.
+    value_fn maps a (batch, jmax+1) coefficient block to one value per sample, a
+    polynomial of degree at most ``degree`` in each phase; the mean is real when the values are.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -252,6 +248,9 @@ def _mc_mean(n: int, jmax: int, samples: int, seed: int, threads: int,
             f"Monte Carlo of {samples} samples at n = {n} takes (n+1)^2 * samples = "
             f"{(n + 1) ** 2 * samples} Szego steps, above the ceiling of {MAX_MC_COST}"
         )
+    if 2 * degree >= MC_PHASES:  # past the exact phase law
+        raise BudgetError(f"a Monte Carlo value of degree {degree} in each phase needs more "
+                          f"than {2 * degree} phase angles; the sampler draws {MC_PHASES}")
     exact = target()
 
     import numpy as np
@@ -287,7 +286,7 @@ def secular_abs_moment_mc(
         from . import counting
         return counting.count_magic(k, j) if n >= j * k else None
 
-    return _mc_mean(n, j, samples, seed, threads, lambda e: abs(e[:, j]) ** (2 * k), target)
+    return _mc_mean(n, j, 2 * k, samples, seed, threads, lambda e: abs(e[:, j]) ** (2 * k), target)
 
 
 def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> MomentEstimate:
@@ -328,7 +327,7 @@ def mixed_moment_mc(a, b, n: int, samples: int, seed: int, threads: int = 1) -> 
                 acc *= np.conj(e[:, jj]) ** q
         return acc
 
-    return _mc_mean(n, len(a), samples, seed, threads, values, target)
+    return _mc_mean(n, len(a), sum(a) + sum(b), samples, seed, threads, values, target)
 
 
 def truncated_poly_moment_mc(
@@ -361,7 +360,7 @@ def truncated_poly_moment_mc(
         from . import counting
         return counting.count_pseudomagic(k, l) if n >= l * k else None
 
-    return _mc_mean(n, l, samples, seed, threads, values, target)
+    return _mc_mean(n, l, 2 * k, samples, seed, threads, values, target)
 
 
 def _check_exact_k(k: int) -> None:

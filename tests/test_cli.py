@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -29,7 +30,8 @@ def run_cli(args, capsys):
 # argparse handler per leaf, so a rewrite of the front end must keep them.  The Monte
 # Carlo, Haar and quadrature leaves are pinned at a fixed (seed, threads) from the
 # front end that imported numpy eagerly, so the numpy-aware serialization and
-# array2string paths cannot drift.
+# array2string paths cannot drift; the three Monte Carlo rows were re-pinned when the
+# sampler moved to one random word per Verblunsky coefficient.
 LEAVES = [
     (["count", "contingency", "--rows", "2,1,1", "--cols", "3,1"], "cols rows", "3\n",
      '{"metadata": {"cols": [3, 1], "rows": [2, 1, 1]}, "value": 3}'),
@@ -103,22 +105,22 @@ LEAVES = [
      '0.0447322383495021], [0.448012725172631, -0.894027179722962]]}'),
     (["rmt", "moment", "--j", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "3",
       "--threads", "2"], "j k n seed threads",
-     "mean=0.681429174091662 stderr=0.0776568 samples=50 target=1 z=4.1\n",
+     "mean=0.991149849936643 stderr=0.152551 samples=50 target=1 z=0.058\n",
      '{"metadata": {"j": 1, "k": 1, "n": 3, "seed": 3, "threads": 2}, "value": {"mean": '
-     '0.681429174091662, "samples": 50, "stderr": 0.077656753695007, "target": 1, "z": '
-     '4.10229388624084}}'),
+     '0.991149849936643, "samples": 50, "stderr": 0.152551155176305, "target": 1, "z": '
+     '0.0580143103677494}}'),
     (["rmt", "mixed", "--a", "1", "--b", "0", "--n", "3", "--samples", "50", "--seed", "4"],
      "a b n seed threads",
-     "mean=-0.11932986504788-0.0458092656272983j stderr=0.148236 samples=50 target=0 z=0.862\n",
+     "mean=0.0759070458998415+0.0576696498543149j stderr=0.141156 samples=50 target=0 z=0.675\n",
      '{"metadata": {"a": [1], "b": [0], "n": 3, "seed": 4, "threads": 1}, "value": {"mean": '
-     '[-0.11932986504788, -0.0458092656272983], "samples": 50, "stderr": 0.148236497237074, '
-     '"target": 0, "z": 0.862274819682323}}'),
+     '[0.0759070458998415, 0.0576696498543149], "samples": 50, "stderr": 0.141156412787575, '
+     '"target": 0, "z": 0.675344887226419}}'),
     (["rmt", "truncated", "--l", "1", "--k", "1", "--n", "3", "--samples", "50", "--seed", "5",
       "--z-angle", "0.5"], "k l n seed threads z_angle",
-     "mean=1.64610103977766 stderr=0.21138 samples=50 target=2 z=1.67\n",
+     "mean=2.1839441706636 stderr=0.271644 samples=50 target=2 z=0.677\n",
      '{"metadata": {"k": 1, "l": 1, "n": 3, "seed": 5, "threads": 1, "z_angle": 0.5}, "value": '
-     '{"mean": 1.64610103977766, "samples": 50, "stderr": 0.211380224821661, "target": 2, "z": '
-     '1.67422927343803}}'),
+     '{"mean": 2.1839441706636, "samples": 50, "stderr": 0.271644436961956, "target": 2, "z": '
+     '0.677150516023127}}'),
     (["rmt", "exact", "--n", "20", "--k", "2"], "k n", "19481\n",
      '{"metadata": {"k": 2, "n": 20}, "value": "19481"}'),
     (["rmt", "gfactor", "--k", "2"], "k", "1/12\n",
@@ -368,7 +370,8 @@ class TestExitCodes:
         (["zeta", "ladder", "--k", "1", "--x-list", "10", "--j-terms", "5"],
          "unrecognized arguments: --j-terms 5"),
         (["euler", "a", "--k", "2", "--j-terms", "5"], "unrecognized arguments: --j-terms 5"),
-        # a flag its row does not list, on every leaf; before the group, only --json and --out
+        # a flag its row does not list, on every leaf; before the group, only --json and --out,
+        # and the root, which has not yet seen a leaf, cannot name the flag
         *UNREAD_FLAGS,
         (["--seed", "5", "count", "magic", "--k", "2", "--j", "2"],
          "argument group: invalid choice: '5'"),
@@ -380,8 +383,10 @@ class TestExitCodes:
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
-        # one error line, after argparse's usage
-        assert err.startswith("usage: ") and err.count("error: ") == 1
+        # one error line, after the usage of the parser that refused: the leaf's once the
+        # call names one, so a flag the leaf does not read is reported against the leaf
+        prog = "pseudomagic" if argv[0].startswith("-") else "pseudomagic " + " ".join(argv[:2])
+        assert err.startswith(f"usage: {prog} ") and err.count("error: ") == 1
         assert "error: " + text in err.splitlines()[-1]
 
     @pytest.mark.numpy_free
@@ -511,10 +516,12 @@ class TestExitCodes:
          "5000000000"),
         (["rmt", "mixed", "--a", "1000000000", "--b", "1000000000", "--n", "100000",
           "--samples", "1000"], "10000000"),
+        # a value of degree 2k = 2048 in each phase, past the 4096 phase angles' exact law
+        (["rmt", "moment", "--j", "1", "--k", "1024", "--n", "3", "--samples", "10"], "4096"),
     ], ids=["prime-limit", "haar-n", "secular-n", "mc-buffer", "quadrature-grid",
             "predict-k", "magic-k", "pseudomagic-k", "sym-even-bounded-k", "gfactor-k",
             "exact-k", "mc-time", "moment-target", "truncated-target", "mixed-target",
-            "truncated-weights", "mixed-multisets"])
+            "truncated-weights", "mixed-multisets", "mc-phases"])
     def test_fixed_ceiling_is_3(self, capsys, cmd, limit):
         t0 = time.perf_counter()
         rc, out, err = run_cli(cmd, capsys)
@@ -847,7 +854,7 @@ def _readme_number(text):
 class TestReadmeTables:
     def test_ceilings_match_the_module_constants(self):
         rows = re.findall(r"^\| `(\w+)\.([A-Z_]+)` = ([^|]+?) \|", README, re.M)
-        assert len(rows) == 12
+        assert len(rows) == 13
         for module, name, value in rows:
             constant = getattr(importlib.import_module(f"pseudomagic.{module}"), name)
             assert constant == _readme_number(value), (module, name, value)
@@ -866,3 +873,32 @@ class TestReadmeTables:
                 assert token.split(".")[1] in counts, command
         # no other command accepts --budget, as the README says
         assert sorted(named) == sorted(budgets)
+
+
+# The leaves that compute with numpy; every other README example joins the numpy-free job.
+_NUMPY_LEAVES = {"rmt sample", "rmt secular", "rmt moment", "rmt mixed", "rmt truncated",
+                 "zeta integrate"}
+
+
+def _readme_examples():
+    """README's command-line block as (argv, stdout) pairs, one per `$ pseudomagic` line."""
+    block = README.split("## Command line", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines(keepends=True):
+        if line.startswith("$ pseudomagic "):
+            examples.append([shlex.split(line.removeprefix("$ pseudomagic "), comments=True), ""])
+        else:
+            examples[-1][1] += line
+    return [pytest.param(argv, out, id=" ".join(argv), marks=() if leaf in _NUMPY_LEAVES
+                         else pytest.mark.numpy_free)
+            for argv, out in examples
+            for leaf in [" ".join([a for a in argv if not a.startswith("-")][:2])]]
+
+
+class TestReadmeExamples:
+    def test_every_example_is_listed(self):
+        assert len(_readme_examples()) == README.count("\n$ pseudomagic ") == 8
+
+    @pytest.mark.parametrize("argv,stdout", _readme_examples())
+    def test_example_prints_its_stdout(self, capsys, argv, stdout):
+        assert run_cli(argv, capsys) == (0, stdout, "")

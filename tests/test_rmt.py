@@ -14,9 +14,10 @@ from pseudomagic.rmt import (
     MAX_EXACT_K,
     MAX_HAAR_ENTRIES,
     MAX_SECULAR_N,
+    MC_PHASES,
     MomentEstimate,
     _mc_mean,
-    _phase_tables,
+    _phase_table,
     _szego,
     _verblunsky_batch,
     full_poly_moment_exact,
@@ -234,29 +235,34 @@ class TestZScore:
         assert est.stderr == 0 and est.target == 1 and est.z_score() == 0.0
 
 
-def _table_phase(u):
-    hi, mid, lo = _phase_tables()
-    return hi[u >> 21] * (mid[(u >> 10) & 0x7FF] * lo[u & 0x3FF])
-
-
 class TestPhaseTables:
-    def test_draw_is_the_table_phase_of_one_uint32(self):
-        # at n = 1 no radius is drawn, so the stream holds the phases' uint32s alone
-        u = np.random.Generator(np.random.Philox(14)).integers(0, 2**32, (1, 999), np.uint32)
+    def test_draw_is_the_table_phase_of_one_word(self):
+        # at n = 1 no radius is drawn: each phase is the table entry at its word's top 12 bits
+        w = np.random.Philox(14).random_raw((1, 999))
         alpha = _verblunsky_batch(np.random.Generator(np.random.Philox(14)), 999, 1)
-        assert alpha.tobytes() == _table_phase(u).tobytes()
+        assert alpha.tobytes() == _phase_table()[w >> 52].tobytes()
 
-    def test_table_product_is_the_exact_phase(self):
-        edges = [0, 1, 2**10 - 1, 2**10, 2**21 - 1, 2**21, 2**31, 2**32 - 1]
-        u = np.concatenate([
-            np.array(edges, dtype=np.uint32),
-            np.random.default_rng(12).integers(0, 2**32, 10**5, dtype=np.uint32),
-        ])
-        phase = _table_phase(u)
-        # np.exp(2j * np.pi * u / 2**32) is itself up to 7e-16 off, so the reference is mpmath
+    def test_radius_comes_from_the_low_52_bits(self):
+        # at n = 2, |alpha_0|^2 ~ Beta(1, 1) is 1 - u for u = (low 52 bits + 1) / 2^52
+        w = np.random.Philox(15).random_raw((2, 999))
+        alpha = _verblunsky_batch(np.random.Generator(np.random.Philox(15)), 999, 2)
+        u = ((w[0] & (2**52 - 1)) + 1) * 2.0**-52
+        radius = np.sqrt(-np.expm1(np.log(u)))
+        assert alpha[0].tobytes() == (_phase_table()[w[0] >> 52] * radius).tobytes()
+        assert alpha[1].tobytes() == _phase_table()[w[1] >> 52].tobytes()
+
+    def test_table_is_the_exact_phase(self):
+        table = _phase_table()
+        assert table.shape == (MC_PHASES,)
         with workprec(80):
-            exact = np.array([complex(expjpi(mpf(int(v)) / 2**31)) for v in u])
-        assert np.max(np.abs(phase - exact)) < 4e-16
+            exact = np.array([complex(expjpi(mpf(2 * h) / MC_PHASES)) for h in range(MC_PHASES)])
+        assert np.max(np.abs(table - exact)) <= np.finfo(float).eps
+
+    def test_characters_below_the_table_size_average_to_zero(self):
+        # the degree rule's premise: e^(i m theta) has mean 0 on the table for 0 < |m| < MC_PHASES
+        table = _phase_table()
+        for m in (1, 2, 3, 1000, MC_PHASES // 2, MC_PHASES - 1):
+            assert abs(np.mean(table**m)) < 1e-13 and abs(np.mean(np.conj(table) ** m)) < 1e-13
 
     def test_last_coefficient_is_uniform_on_the_circle(self):
         draws = 10**6
@@ -319,16 +325,36 @@ class TestMonteCarloDriver:
         est = secular_abs_moment_mc(1, 1, 3, 2, seed=0, threads=8)
         assert est.samples == 2
 
-    @pytest.mark.parametrize("n,samples,error", [
-        (0, 5, ValueError), (-1, 5, ValueError), (10**6, 4096, BudgetError),
-        (2440, 16384, BudgetError),
+    @pytest.mark.parametrize("n,samples,degree,error", [
+        (0, 5, 1, ValueError), (-1, 5, 1, ValueError), (10**6, 4096, 1, BudgetError),
+        (2440, 16384, 1, BudgetError), (3, 10, MC_PHASES // 2, BudgetError),
     ])
-    def test_checks_run_before_the_target(self, n, samples, error):
+    def test_checks_run_before_the_target(self, n, samples, degree, error):
         def target():
             raise AssertionError("target computed before the checks")
 
         with pytest.raises(error):
-            _mc_mean(n, 1, samples, 0, 1, None, target)
+            _mc_mean(n, 1, degree, samples, 0, 1, None, target)
+
+    @pytest.mark.parametrize("n,samples,text", [
+        (0, 5, "n must be positive"), (10**6, 4096, str(MAX_HAAR_ENTRIES)),
+        (2440, 16384, "Szego steps"),
+    ])
+    def test_degree_is_the_last_check(self, n, samples, text):
+        with pytest.raises((ValueError, BudgetError), match=text):
+            _mc_mean(n, 1, MC_PHASES, samples, 0, 1, None, None)
+
+    @pytest.mark.parametrize("estimate,admitted", [
+        (lambda k: secular_abs_moment_mc(1, k, 1, 1, seed=0), 1023),
+        (lambda k: truncated_poly_moment_mc(0, k, 1, 1.0, 1, seed=0), 1023),
+        # e_1^a conj(e_1)^b has degree a + b
+        (lambda d: mixed_moment_mc((d - d // 2,), (d // 2,), 1, 1, seed=0), 2047),
+    ], ids=["moment", "truncated", "mixed"])
+    def test_degree_rule_boundary(self, estimate, admitted):
+        # at n = 1, |e_1| = 1 and e_0 = 1, so each admitted value stays finite
+        assert estimate(admitted).samples == 1
+        with pytest.raises(BudgetError, match=f"needs more than {MC_PHASES} phase angles"):
+            estimate(admitted + 1)
 
     @pytest.mark.parametrize("estimate,text", [
         (lambda: secular_abs_moment_mc(1, 1, 0, 5, seed=0), "need 1 <= j <= n"),
