@@ -5,7 +5,8 @@ Each leaf command is one row of COMMANDS: its group, name, help text, flags
 loop builds the parser from the table.  A handler returns the value, or an
 Out that adds the plain-mode text and any metadata not read from the parsed
 arguments; main assembles the document.  Besides --json and --out, a leaf
-accepts only the flags its row lists, --seed, --threads and --budget included.
+accepts only the flags its row lists, --seed, --threads and --budget included;
+before the group, the root reads only -h/--help, --json and --out.
 
 Output discipline: plain mode prints a bare human-readable value; --json wraps
 the same value in a {command, value, metadata} document.  Exact numbers are
@@ -394,6 +395,31 @@ class _LazyParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+class _Root(argparse.ArgumentParser):
+    """The root parser.  Before the group it reads only -h/--help, --json and --out, so it
+    names any other option there instead of reading the option's value as the group."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        tokens = iter(args)
+        for tok in tokens:
+            name = tok.split("=", 1)[0]
+            if (not tok.startswith("-") or tok in ("-", "--") or " " in tok
+                    or tok[1:2].isdigit() or tok[1:2] == "." and tok[2:3].isdigit()):
+                break  # the group, or a token argparse reads in its place
+            if name.startswith("-h") or "--help".startswith(name):
+                break  # argparse prints the help
+            if "--json".startswith(name):
+                continue
+            if "--out".startswith(name):
+                if "=" not in tok:
+                    next(tokens, None)  # the path
+                continue
+            self.error(f"argument {name}: only --json and --out go before the command; "
+                       f"put {name} after it")
+        return super().parse_known_args(args, namespace)
+
+
 def _fill_group(group: str, p: argparse.ArgumentParser):
     ops = p.add_subparsers(dest="op", required=True, parser_class=_LazyParser)
     for cmd in (c for c in COMMANDS if c.group == group):
@@ -410,7 +436,7 @@ def _fill_leaf(cmd: Command, p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Root(
         prog="pseudomagic",
         description="exact line-sum matrix counts, their polynomial laws, and the "
         "zeta-partial-sum / random-matrix statistics they predict",

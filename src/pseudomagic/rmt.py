@@ -360,7 +360,8 @@ def truncated_poly_moment_mc(
         from . import counting
         return counting.count_pseudomagic(k, l) if n >= l * k else None
 
-    return _mc_mean(n, l, 2 * k, samples, seed, threads, values, target)
+    # |e_0 z^n|^(2k) is exactly 1 at l = 0: degree 0 in every phase
+    return _mc_mean(n, l, 2 * k if l else 0, samples, seed, threads, values, target)
 
 
 def _check_exact_k(k: int) -> None:

@@ -8,13 +8,18 @@ enumeration over pairs of factorization tuples, approximates the time average
 numerically, and compares everything against the arithmetic-factor-times-
 count-polynomial prediction, whose quality improves only logarithmically.
 
-The two exact routes share no summation code.  ``mv_pseudomoment`` sums by the
-structure of the profile.  With B the largest bound, a prime p above isqrt(B)
-and above every other bound divides a product at most once, and only through
-the B entry, so the terms divisible by p are the profile of a smaller bound
-tuple shifted by p.  The remaining terms and those smaller profiles are each
-one integer sum over a common denominator free of such primes, and the 1/p
-are joined by binary splitting, with one gcd in all.  ``pair_sum_oracle`` finds
+The two exact routes share no summation code.  ``mv_pseudomoment`` never
+counts the profile at k <= 2, whose profiles are counted only when read: at
+k = 1 the mean value is H_X, and at k = 2 the equal-product pairs are the 2x2
+matrices [[g, u], [v, w]] with gcd(u, v) = 1, so it is a short sum of products
+of harmonic numbers, one integer over lcm(1..min b)^4 plus a few H_{max b // M}.
+At k >= 3 it sums by the structure of the profile.  With B the largest bound,
+a prime p above isqrt(B) and above every other bound divides a product at most
+once, and only through the B entry, so the terms divisible by p are the profile
+of a smaller bound tuple shifted by p.  The remaining terms and those smaller
+profiles are each one integer sum over a common denominator free of such
+primes, and the 1/p are joined by binary splitting, with one gcd in all.  H_X
+is split at the same primes.  ``pair_sum_oracle`` finds
 its equal-product pairs by hash join and sums their terms with
 ``_exact_sum``, which adds each run of 64 terms in integers over the lcm of
 the run's denominators and then the runs' fractions pairwise.
@@ -32,7 +37,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
+from itertools import accumulate, compress, islice
 from itertools import product as iproduct
 from math import inf, isqrt, lcm, log, prod
 from operator import mul
@@ -55,14 +61,22 @@ _RUN = 64
 @dataclass(frozen=True)
 class DivisorProfile:
     """Restricted divisor counts: counts[n] = #{(l_1..l_k) : prod l_i = n, l_i <= bounds_i},
-    with k = len(bounds)."""
+    with k = len(bounds).  The counts are built on their first read."""
 
     bounds: tuple
-    counts: dict
 
     @property
     def total_tuples(self) -> int:
         return prod(self.bounds)
+
+    @cached_property
+    def counts(self) -> dict:
+        """The Dirichlet convolution of the indicators of 1..b_i, one factor at a time, so
+        equal partial products are merged as they form."""
+        counts = {1: 1}
+        for b in self.bounds:
+            counts = _convolve(counts, b)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -102,14 +116,11 @@ def _convolve(counts: dict, b: int) -> dict:
 
 
 def divisor_profile(k: int, bounds, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> DivisorProfile:
-    """Exact restricted divisor counts: the Dirichlet convolution of the indicators of
-    1..b_i, one factor at a time, so equal partial products are merged as they form."""
+    """Exact restricted divisor counts, checked against the tuple budget now and counted
+    when ``counts`` is first read."""
     bounds = _normalize_bounds(k, bounds)
     check_size(Counter(bounds).items(), tuple_budget, "tuples")
-    counts = {1: 1}
-    for b in bounds:
-        counts = _convolve(counts, b)
-    return DivisorProfile(bounds=bounds, counts=counts)
+    return DivisorProfile(bounds=bounds)
 
 
 def _top_power(p: int, b: int) -> int:
@@ -140,11 +151,79 @@ def _split(terms: list) -> tuple:
     return terms[0]
 
 
+def _harmonic(x: int) -> tuple:
+    """(lcm(1..x) * H_x, lcm(1..x)): the k = 1 mean value split at the simple primes.
+
+    A prime p > isqrt(x) divides an n <= x at most once, with cofactor at most
+    x // p <= isqrt(x), so H_x is the sum of 1/n over the n free of such primes
+    plus sum_p H_{x // p} / p.  The first sum and every H_q, q <= isqrt(x), are
+    integers over D, the product of the largest powers <= x of the primes up to
+    isqrt(x); the 1/p are joined by binary splitting.  Sieves the primes up to x
+    (BudgetError above euler.MAX_PRIME_LIMIT).
+    """
+    primes = euler.primes_up_to(x)
+    root = isqrt(x)
+    cut = bisect_right(primes, root)
+    simple = primes[cut:]
+    den = prod(_top_power(p, x) for p in primes[:cut])
+    smooth = bytearray([1]) * (x + 1)
+    smooth[0] = 0
+    for p in simple:
+        smooth[p::p] = bytes(x // p)
+    h = list(accumulate(map(den.__floordiv__, range(1, root + 1)), initial=0))  # D * H_q
+    terms = [(sum(map(den.__floordiv__, compress(range(x + 1), smooth))), 1)]
+    num, simple_prod = _split(terms + [(h[x // p], p) for p in simple])
+    return num, den * simple_prod
+
+
+def _mv_pair(b1: int, b2: int) -> Fraction:
+    """The k = 2 mean value, sum_{M <= m} c(M) H_{b1 // M} H_{b2 // M} with m = min(b1, b2).
+
+    Pairs of 2-tuples with ab = cd are the matrices [[g, u], [v, w]] with
+    gcd(u, v) = 1: a = gu, c = gv, b = vw, d = uw, and the term 1/(ab) is
+    1/(guvw).  With M = max(u, v), the bounds read g <= b1 / M and w <= b2 / M,
+    so c(M) is the sum of 1/(uv) over the coprime pairs of maximum M: c(1) = 1
+    and c(M) = 2 S(M) / M, where S(M) sums 1/u over the u <= M prime to M.
+    Grouping the u <= M by gcd(u, M) gives H_M = sum_{g | M} S(M / g) / g, so S
+    follows from H by a divisor sieve.  With L = lcm(1..m), L * H_t and
+    L * S(t) / g are integers for g * t <= m, and so is L^2 c(M) =
+    2 (L / M) * L S(M); every term whose arguments are at most m is one integer
+    over L^4.  An argument above m, that is B // M with B = max(b1, b2) and
+    M <= B // (m + 1), is taken from ``_harmonic``: a table up to B would cost
+    time quadratic in B.
+    """
+    m, top = min(b1, b2), max(b1, b2)
+    far = min(m, top // (m + 1))  # top // M > m exactly for the M <= far
+    den = lcm(*range(1, m + 1))  # L above
+    h = list(accumulate(map(den.__floordiv__, range(1, m + 1)), initial=0))  # L * H_t
+    coprime = h.copy()  # coprime[M] = L * S(M) once the loop has passed M
+    for t in range(1, m + 1):
+        for g in range(2, m // t + 1):
+            coprime[g * t] -= coprime[t] // g
+    c2 = [0, den * den] + [2 * (den // M) * coprime[M] for M in range(2, m + 1)]  # L^2 c(M)
+    num, M = 0, far + 1
+    while M <= m:  # one product per block of M with the same two quotients
+        q1, q2 = m // M, top // M
+        end = min(m // q1, top // q2) + 1
+        num += sum(c2[M:end]) * h[q1] * h[q2]
+        M = end
+    if not far:
+        return Fraction(num, den**4)
+    parts = [(c2[M] * h[m // M], *_harmonic(top // M)) for M in range(1, far + 1)]
+    wide = parts[0][2]  # lcm(1..top), a multiple of L and of every other part's denominator
+    num = num * (wide // den) + sum(a * n * (wide // d) for a, n, d in parts)
+    return Fraction(num, den**3 * wide)
+
+
 def mv_pseudomoment(profile: DivisorProfile) -> Fraction:
     """Exact mean value sum_n counts[n]^2 / n of the squared profile.
 
-    Let B be the largest bound and b' the largest of the others (0 when k = 1).
-    A prime p > max(isqrt(B), b') is *simple*: a tuple whose product p divides
+    At k = 1 this is H_X (``_harmonic``) and at k = 2 a sum of products of
+    harmonic numbers over 2x2 matrices (``_mv_pair``); both read only
+    ``profile.bounds``, so the profile is never counted.  Larger k sums over
+    the profile's structure, as follows.
+
+    Let B be the largest bound and b' the largest of the others.  A prime p > max(isqrt(B), b') is *simple*: a tuple whose product p divides
     carries p exactly once, in its B entry, so dividing that entry by p is a
     bijection and d_b(p*m) = d_{b*}(m), where b* has B replaced by q = B // p.
     Hence
@@ -155,14 +234,20 @@ def mv_pseudomoment(profile: DivisorProfile) -> Fraction:
     The first sum runs over ``profile.counts`` without the keys p*m.  It and
     every mv(b*_q), each over its own profile, are single integer sums over
     one common denominator, prod_i lcm(1..b_i) without the simple primes
-    (about 480 bits at X = 25 000, against 36 000 for lcm(1..X)).  The 1/p
+    (518 bits at (10, 20, 25 000), against 36 073 for lcm(1..25 000)).  The 1/p
     have pairwise coprime denominators, so they are combined by binary
     splitting, and the one gcd is the final Fraction's.  Tied largest bounds
-    have no simple prime, and the sum is the first term alone.  Sieves the
-    primes up to B, so B is capped at euler.MAX_PRIME_LIMIT (BudgetError
-    above it).
+    have no simple prime, and the sum is the first term alone.
+
+    This route and ``_harmonic`` (k = 1, and k = 2 with unequal bounds) sieve
+    the primes up to B, so there B is capped at euler.MAX_PRIME_LIMIT
+    (BudgetError above it).
     """
     bounds = profile.bounds
+    if len(bounds) == 1:
+        return Fraction(*_harmonic(bounds[0]))
+    if len(bounds) == 2:
+        return _mv_pair(*bounds)
     top = max(bounds)
     i = bounds.index(top)
     rest = bounds[:i] + bounds[i + 1:]

@@ -151,6 +151,30 @@ class TestExactStdout:
         rc, out, _ = run_cli(["zeta", "mv", "--k", "2", "--x", "2"], capsys)
         assert rc == 0 and out == "13/4\n"
 
+    # H_1000, and a k = 2 mean value with 300 // M > 7 for every M <= 7, so that each
+    # H_{300 // M} comes from the harmonic split; both pinned from the profile route
+    @pytest.mark.parametrize("argv,value", [
+        (["zeta", "mv", "--k", "1", "--x", "1000"], (
+            "533629132822947850455910456240429804096524722803842600971013492484562688894971017575"
+            "060979019850356914090887315504680983784421721178850094643023443265660225021002784256"
+            "328520814055449412104425101426727702947747127089179639677796104532246924268664688882"
+            "815820719848971051107968732493191555293970175089315645199760857344730141832840117244"
+            "122806490743077037366831700558002936592350885893602352858528081607595747378366554131"
+            "75508131522517/712886527466509305316638415571427292066835886188589304045200199115432"
+            "408758111149947644415191387158691171781701957525651298026406762100925146587100430513"
+            "107268626814320019660997486274593718834370501543445252373974529896314567498212823695"
+            "623282379401106880926231770886197954079124775455804932647573782992335275179673524804"
+            "246363805113703433121478174685087845348567802188807537324992199567205693202909939089"
+            "1687487672697950931603520000")),
+        (["zeta", "mv", "--k", "2", "--bounds", "7,300"], (
+            "759161732757395818380660438211345083031571284468206046419594461265931533534856483912"
+            "290692126567562925687773119495159143447962473917/16390394248726521133326497407173414"
+            "263925508869055464253031492095973333908388408253587915640270208373764919524383883644"
+            "505822080000")),
+    ], ids=["k1-x1000", "k2-7-300"])
+    def test_mv_closed_forms(self, capsys, argv, value):
+        assert run_cli(argv, capsys) == (0, value + "\n", "")
+
     def test_subprocess_byte_level(self):
         out = subprocess.run(
             [sys.executable, "-m", "pseudomagic", "count", "magic", "--k", "3", "--j", "1"],
@@ -371,13 +395,16 @@ class TestExitCodes:
          "unrecognized arguments: --j-terms 5"),
         (["euler", "a", "--k", "2", "--j-terms", "5"], "unrecognized arguments: --j-terms 5"),
         # a flag its row does not list, on every leaf; before the group, only --json and --out,
-        # and the root, which has not yet seen a leaf, cannot name the flag
+        # and the root names any other option there rather than read its value as the group
         *UNREAD_FLAGS,
         (["--seed", "5", "count", "magic", "--k", "2", "--j", "2"],
-         "argument group: invalid choice: '5'"),
+         "argument --seed: only --json and --out go before the command; put --seed after it"),
+        (["--json", "--threads=2", "rmt", "moment", "--j", "1", "--k", "1", "--n", "3"],
+         "argument --threads: only --json and --out go before the command; put --threads after it"),
     ], ids=["missing-flag", "empty-list", "not-int-list", "expansion-cap", "predict-j-terms",
             "ladder-j-terms", "euler-a-j-terms",
-            *[" ".join(argv[:2] + argv[-2:-1]) for argv, _ in UNREAD_FLAGS], "seed-before-group"])
+            *[" ".join(argv[:2] + argv[-2:-1]) for argv, _ in UNREAD_FLAGS], "seed-before-group",
+            "threads-after-json"])
     def test_usage_error_is_2(self, capsys, argv, text):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -527,6 +554,16 @@ class TestExitCodes:
         rc, out, err = run_cli(cmd, capsys)
         assert time.perf_counter() - t0 < 2  # refused before any allocation, draw or count
         assert rc == 3 and out == "" and err.count("\n") == 1 and limit in err
+
+    def test_truncated_l0_has_degree_0(self, capsys):
+        # |e_0 z^n|^(2k) is exactly 1, of degree 0 in every phase, so the phase law admits
+        # any k at l = 0; at l = 1 the value has degree 2k and k = 1024 stays refused
+        argv = ["rmt", "truncated", "--k", "1024", "--n", "1", "--samples", "10", "--l"]
+        assert run_cli(argv + ["0"], capsys) == (
+            0, "mean=1 stderr=0 samples=10 target=1 z=0\n", "")
+        assert run_cli(argv + ["1"], capsys) == (
+            3, "", "error: a Monte Carlo value of degree 2048 in each phase needs more than "
+                   "4096 phase angles; the sampler draws 4096\n")
 
     def test_gfactor_at_its_ceiling_prints(self, capsys):
         rc, out, err = run_cli(["rmt", "gfactor", "--k", "300"], capsys)

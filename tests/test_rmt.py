@@ -346,15 +346,22 @@ class TestMonteCarloDriver:
 
     @pytest.mark.parametrize("estimate,admitted", [
         (lambda k: secular_abs_moment_mc(1, k, 1, 1, seed=0), 1023),
-        (lambda k: truncated_poly_moment_mc(0, k, 1, 1.0, 1, seed=0), 1023),
         # e_1^a conj(e_1)^b has degree a + b
         (lambda d: mixed_moment_mc((d - d // 2,), (d // 2,), 1, 1, seed=0), 2047),
-    ], ids=["moment", "truncated", "mixed"])
+    ], ids=["moment", "mixed"])
     def test_degree_rule_boundary(self, estimate, admitted):
         # at n = 1, |e_1| = 1 and e_0 = 1, so each admitted value stays finite
         assert estimate(admitted).samples == 1
         with pytest.raises(BudgetError, match=f"needs more than {MC_PHASES} phase angles"):
             estimate(admitted + 1)
+
+    def test_truncated_degree_depends_on_l(self):
+        # |e_0 z^n|^(2k) is exactly 1 at l = 0, of degree 0 in every phase, so the rule admits
+        # any k there; from l = 1 on the value has degree 2k
+        est = truncated_poly_moment_mc(0, 4096, 1, 1.0, 3, seed=0)
+        assert (est.mean, est.stderr, est.target) == (1.0, 0.0, 1)
+        with pytest.raises(BudgetError, match=f"needs more than {MC_PHASES} phase angles"):
+            truncated_poly_moment_mc(1, 1024, 1, 1.0, 1, seed=0)
 
     @pytest.mark.parametrize("estimate,text", [
         (lambda: secular_abs_moment_mc(1, 1, 0, 5, seed=0), "need 1 <= j <= n"),

@@ -1,6 +1,8 @@
 """Partial-sum mean values: profiles, exact sums, dual oracle, integrator, predictions."""
 
 import re
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -119,6 +121,12 @@ def _structured_grid():
     grid += [(1,), (2,), (3,), (4,), (1, 1), (1, 9), (9, 1), (1, 1, 1, 1), (1, 1, 13, 1)]
     grid += [(97,), (128,), (243,), (1024,), (49, 13), (7, 49), (32, 27), (27, 32),
              (25, 25), (11, 13, 4), (8, 9, 5, 7)]
+    # k = 1 where isqrt(X) passes a prime p, so that p stops being simple at X = p^2
+    grid += [(p * p + e,) for p in (2, 3, 5, 7, 11, 31) for e in (-1, 0, 1)]
+    # k = 2 takes H_{max // M} from the harmonic split for M <= max // (min + 1), and the
+    # rest from the table up to min: every M once max // min > min, as in the first eight
+    grid += [(2, 9), (3, 700), (700, 3), (10, 400), (400, 10), (5, 31), (6, 43), (43, 6),
+             (20, 100), (100, 20), (30, 1000), (41, 42)]
     return grid
 
 
@@ -141,6 +149,57 @@ class TestStructuredMeanValue:
             star = bounds[:i] + (top // p,) + bounds[i + 1:]
             shifted = {n // p: d for n, d in counts.items() if n % p == 0}
             assert shifted == divisor_profile(len(star), star).counts
+
+
+class TestClosedForms:
+    """k = 1 is H_X by the split at the simple primes, and k = 2 a sum over 2x2 matrices;
+    both read only the bounds (TestStructuredMeanValue checks their values)."""
+
+    @pytest.mark.parametrize("x", [1, 2, 17, 300, 2500])
+    def test_a_cutoff_of_one_is_k1(self, x):
+        h = mv_pseudomoment(divisor_profile(1, x))
+        assert mv_pseudomoment(divisor_profile(2, (1, x))) == h
+        assert mv_pseudomoment(divisor_profile(2, (x, 1))) == h
+
+    @pytest.mark.parametrize("bounds", [(2, 3), (7, 300), (40, 41), (13, 169), (100, 250)])
+    def test_symmetric(self, bounds):
+        b1, b2 = bounds
+        assert mv_pseudomoment(divisor_profile(2, (b1, b2))) == \
+            mv_pseudomoment(divisor_profile(2, (b2, b1)))
+
+    @pytest.mark.parametrize("bounds", [(25000,), (300, 300), (7, 300)])
+    def test_profile_is_not_counted(self, bounds):
+        profile = divisor_profile(len(bounds), bounds)
+        mv_pseudomoment(profile)
+        assert "counts" not in vars(profile)
+
+    def test_profile_is_counted_when_read(self):
+        profile = divisor_profile(2, 2)
+        assert "counts" not in vars(profile)
+        assert profile.counts == {1: 1, 2: 2, 4: 1} and profile.counts is profile.counts
+
+    def test_large_profile_returns_at_once(self):
+        # 10^8 tuples, admitted by the default budget, and not counted until read
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            profile = divisor_profile(2, (10**4, 10**4))
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05 and peak < 2**20
+        assert profile.total_tuples == 10**8
+
+    def test_k2_at_3000_within_2s(self):
+        # the profile route takes 8.5-9 s on 2 Intel Xeon vCPUs; the value is pinned from it,
+        # by its float and by its numerator and denominator modulo the prime 1000003
+        t0 = time.perf_counter()
+        value = mv_pseudomoment(divisor_profile(2, (3000, 3000)))
+        assert time.perf_counter() - t0 < 2
+        assert float(value) == 866.4845521510213
+        assert (value.numerator % 1000003, value.denominator % 1000003) == (489829, 629893)
+        assert value.denominator.bit_length() == 8660
 
 
 class TestExactSum:
